@@ -1,4 +1,6 @@
-(** Contact self-energies for the NEGF solvers. *)
+(** Contact self-energies for the NEGF solvers: closed forms for the
+    mode-space chain, and Sancho–Rubio decimation for the leads of the
+    atomistic reference solver {!Rgf_block}. *)
 
 val wideband : gamma:float -> Complex.t
 (** Wide-band-limit metal contact: energy-independent [Σ = -i Γ / 2].
@@ -26,8 +28,7 @@ val sancho_rubio :
   Cmatrix.t
 (** Surface Green's function of a semi-infinite periodic block chain
     ([h00] on-cell, [h01] coupling towards the device) via the
-    Sancho–Rubio decimation, running on the {!Zdense} in-place kernels
-    (allocation-free per iteration); the lead self-energy is
+    Sancho–Rubio decimation on {!Cmatrix} values; the lead self-energy is
     [h01† · g_s · h01].  Convergence when the decimated coupling's
     largest entry drops below [tol]; raises {!Numerics_error.Stalled}
     after [max_iter] iterations.  Reports [self_energy.sancho_calls] /

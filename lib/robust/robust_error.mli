@@ -20,8 +20,7 @@ type corrupt_reason =
           [expected] is the byte count the header — or, below the
           minimum header size, the format — requires *)
   | Undecodable of { detail : string }
-      (** not attributable to a precise section: legacy-Marshal parse
-          failures and injected read faults *)
+      (** not attributable to a precise section: injected read faults *)
 (** Why an on-disk table was rejected, precise enough that every
     corruption-matrix mutation class maps to a distinct constructor
     (docs/FORMAT.md lists the validation order that guarantees it). *)

@@ -70,19 +70,6 @@ let test_span_balance () =
 let test_float_eq () =
   check_locs "float-eq sites" "float-eq" [ ("lint_fixtures/float_fixture.ml", 5) ]
 
-let test_hot_alloc () =
-  (* Line 16 carries three findings (add, adjoint, sub in one call);
-     the suppressed naive-reference case at the fixture's tail and the
-     loop-free setup call must stay silent. *)
-  check_locs "hot-alloc sites" "hot-alloc"
-    [
-      ("lint_fixtures/negf/hot_alloc_fixture.ml", 8);
-      ("lint_fixtures/negf/hot_alloc_fixture.ml", 9);
-      ("lint_fixtures/negf/hot_alloc_fixture.ml", 16);
-      ("lint_fixtures/negf/hot_alloc_fixture.ml", 16);
-      ("lint_fixtures/negf/hot_alloc_fixture.ml", 16);
-    ]
-
 let test_rendered_form () =
   match by_rule "float-eq" with
   | [ d ] ->
@@ -244,7 +231,6 @@ let suite =
     Alcotest.test_case "lock-safety: exact fixture sites" `Quick test_lock_safety;
     Alcotest.test_case "span-balance: exact fixture sites" `Quick test_span_balance;
     Alcotest.test_case "float-eq: exact fixture sites" `Quick test_float_eq;
-    Alcotest.test_case "hot-alloc: exact fixture sites" `Quick test_hot_alloc;
     Alcotest.test_case "diagnostic rendering carries rule version" `Quick
       test_rendered_form;
     Alcotest.test_case "SARIF 2.1.0 structure" `Quick test_sarif_shape;

@@ -332,22 +332,32 @@ let test_cache_corruption_matrix () =
   Alcotest.(check bool) "injected-fault file renamed" true
     (Sys.file_exists (path ^ ".corrupt"));
   Sys.remove (path ^ ".corrupt");
-  (* 5. A legacy Marshal file (gnrtbl absent) still reads via the
-     fallback — a disk hit that is not an mmap hit. *)
+  (* 5. A stray pre-gnrtbl [<digest>.table] Marshal file (gnrtbl
+     absent) is not read: a plain miss, left in place, with no
+     corruption counter moved. *)
   Table_cache.clear_memory ();
   let key = Table_cache.key ~grid:micro_grid tiny in
-  let oc = open_out_bin (Table_cache.legacy_path key) in
+  let marshal_path =
+    Filename.remove_extension (Table_cache.gnrtbl_path key) ^ ".table"
+  in
+  let oc = open_out_bin marshal_path in
   Marshal.to_channel oc (key, t0) [];
   close_out oc;
+  let corrupt_counters () =
+    List.filter
+      (fun (name, _) -> String.starts_with ~prefix:"table_cache.corrupt" name)
+      (Obs.snapshot ~obs ()).Obs.snap_counters
+  in
+  let corrupt_before = corrupt_counters () in
   let mmap_before = read_counter "table_cache.mmap_hits" in
-  (match Table_cache.lookup ~grid:micro_grid ~obs tiny with
-  | Some t ->
-    approx "legacy fallback round-trips" t0.Iv_table.current.(1).(1)
-      t.Iv_table.current.(1).(1)
-  | None -> Alcotest.fail "expected a legacy-fallback disk hit");
-  Alcotest.(check int) "legacy hit is not an mmap hit" mmap_before
-    (read_counter "table_cache.mmap_hits");
-  Sys.remove (Table_cache.legacy_path key);
+  expect_miss "stray Marshal file";
+  Alcotest.(check (list (pair string int)))
+    "stray Marshal file moves no corruption counter" corrupt_before
+    (corrupt_counters ());
+  Alcotest.(check bool) "stray Marshal file left in place" true
+    (Sys.file_exists marshal_path
+    && not (Sys.file_exists (marshal_path ^ ".corrupt")));
+  Sys.remove marshal_path;
   (* 6. And an intact gnrtbl file still round-trips, via the mapping. *)
   reseed ();
   match Table_cache.lookup ~grid:micro_grid ~obs tiny with

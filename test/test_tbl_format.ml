@@ -283,7 +283,7 @@ let test_corruption_matrix () =
       if reason <> expected then
         Alcotest.failf "%s: probe_disk expected %s, got %s" label
           (reason_str expected) (reason_str reason)
-    | Table_cache.Table _ | Table_cache.Legacy _ ->
+    | Table_cache.Table _ ->
       Alcotest.failf "%s: probe_disk accepted a mutated file" label
     | Table_cache.Absent | Table_cache.Stale ->
       Alcotest.failf "%s: probe_disk missed the corruption" label
@@ -578,17 +578,9 @@ let test_probe_disk_outcomes () =
   (* Correct key -> Table, bit-exact. *)
   write_file (Table_cache.gnrtbl_path key)
     (Tbl_format.encode ~cache_key:key table);
-  (match Table_cache.probe_disk ~grid:micro_grid ~obs tiny with
-  | Table_cache.Table t -> check_table_bits "probe Table" table t
-  | _ -> Alcotest.fail "matching gnrtbl must probe as Table");
-  (* Legacy Marshal fallback (gnrtbl absent) -> Legacy. *)
-  Sys.remove (Table_cache.gnrtbl_path key);
-  let oc = open_out_bin (Table_cache.legacy_path key) in
-  Marshal.to_channel oc (key, table) [];
-  close_out oc;
   match Table_cache.probe_disk ~grid:micro_grid ~obs tiny with
-  | Table_cache.Legacy t -> check_table_bits "probe Legacy" table t
-  | _ -> Alcotest.fail "legacy Marshal file must probe as Legacy"
+  | Table_cache.Table t -> check_table_bits "probe Table" table t
+  | _ -> Alcotest.fail "matching gnrtbl must probe as Table"
 
 let suite =
   [

@@ -161,19 +161,6 @@ let rules =
          ~finally:(fun () -> Obs.Timer.stop t t0).";
     };
     {
-      id = "hot-alloc";
-      version = 1;
-      severity = Warning;
-      summary = "allocating Cmatrix call inside a NEGF loop";
-      help =
-        "Cmatrix.mul/inverse/adjoint/add/sub allocate a fresh matrix per \
-         call; inside a per-energy or per-block loop in lib/negf this turns \
-         the sweep into a GC benchmark.  Run on the Zdense workspace \
-         kernels (gemm_into/solve_into/inverse_into/...) instead, or \
-         suppress explicitly where a naive reference oracle is kept on \
-         purpose.";
-    };
-    {
       id = "parse-error";
       version = 1;
       severity = Error;

@@ -13,9 +13,6 @@ type ctx = {
   mutable guard_depth : int;
       (* enclosing if/match constructs; cheap "is this guarded?" signal
          for the exp-log rule *)
-  mutable loop_depth : int;
-      (* enclosing for/while constructs; the hot-alloc rule only fires
-         inside a loop body *)
 }
 
 let float_literal_value s =
@@ -157,32 +154,6 @@ let check_failwith ctx e =
       | _ -> ())
     | _ -> ()
 
-(* PR 7 moved the block-RGF hot paths onto the Zdense in-place kernel
-   layer; any allocating Cmatrix call left inside a loop in a NEGF
-   module is either a regression or a deliberately-kept naive reference
-   (which should carry an inline suppression).  The gate is a "negf"
-   path segment so the fixture corpus under lint_fixtures/negf/ is
-   covered by the same predicate as lib/negf. *)
-
-let hot_alloc_fns = [ "mul"; "inverse"; "adjoint"; "add"; "sub" ]
-
-let negf_segment file = List.mem "negf" (String.split_on_char '/' file)
-
-let check_hot_alloc ctx e =
-  if ctx.loop_depth > 0 && negf_segment ctx.file then
-    match e.pexp_desc with
-    | Pexp_apply
-        ( { pexp_desc = Pexp_ident { txt = Longident.Ldot (Longident.Lident "Cmatrix", fn); _ }; _ },
-          _ )
-      when List.mem fn hot_alloc_fns ->
-      ctx.report e.pexp_loc "hot-alloc"
-        (Printf.sprintf
-           "allocating `Cmatrix.%s` inside a loop in a NEGF hot path; run on the \
-            Zdense workspace kernels (`gemm_into`/`solve_into`/..., docs/PERF.md) \
-            or suppress where a naive reference oracle is kept on purpose"
-           fn)
-    | _ -> ()
-
 let check_case_assert_false ctx c =
   match c.pc_rhs.pexp_desc with
   | Pexp_assert { pexp_desc = Pexp_construct ({ txt = Longident.Lident "false"; _ }, None); _ } ->
@@ -234,19 +205,7 @@ let make_iterator ctx =
     check_catch_all ctx e;
     check_silent_swallow ctx e;
     check_failwith ctx e;
-    check_hot_alloc ctx e;
     match e.pexp_desc with
-    | Pexp_for (_, lo, hi, _, body) ->
-      self.expr self lo;
-      self.expr self hi;
-      ctx.loop_depth <- ctx.loop_depth + 1;
-      self.expr self body;
-      ctx.loop_depth <- ctx.loop_depth - 1
-    | Pexp_while (cond, body) ->
-      ctx.loop_depth <- ctx.loop_depth + 1;
-      self.expr self cond;
-      self.expr self body;
-      ctx.loop_depth <- ctx.loop_depth - 1
     | Pexp_ifthenelse (cond, then_, else_) ->
       self.expr self cond;
       ctx.guard_depth <- ctx.guard_depth + 1;
@@ -275,7 +234,7 @@ let make_iterator ctx =
   { default_iterator with expr; case; value_binding; value_description }
 
 let lint ~report (file : Src.file) =
-  let ctx = { file = file.Src.path; report; guard_depth = 0; loop_depth = 0 } in
+  let ctx = { file = file.Src.path; report; guard_depth = 0 } in
   let it = make_iterator ctx in
   match file.Src.ast with
   | Src.Structure str -> it.structure it str
