@@ -41,8 +41,7 @@ let params_of index charge =
 (* bands *)
 let bands_cmd =
   let run index =
-    let tb = Tight_binding.make index in
-    let b = Bands.compute ~nk:65 tb in
+    let b = Bands.of_index index in
     Printf.printf "A-GNR N=%d: width %.3f nm, gap %.4f eV (family %s)\n" index
       (Lattice.width index /. 1e-9)
       (Bands.band_gap b)

@@ -36,8 +36,9 @@ let site_positions p =
   let x0 = (p.Params.channel_length -. span) /. 2. in
   Array.init n (fun i -> x0 +. (dx *. float_of_int i))
 
-(* The Poisson stack (with its factorized matrix) depends only on the
-   device geometry, not on bias or impurities: memoize it. *)
+(* The Poisson stack (with its factorized matrix and sheet-row Green's
+   matrix) depends only on the device geometry, not on bias or
+   impurities: memoize it. *)
 let stack_cache : (string, Stack2d.t) Hashtbl.t = Hashtbl.create 8
 
 let stack_mutex = Mutex.create ()
@@ -115,41 +116,43 @@ let solve ?(tol = 1e-3) ?(max_iter = 120) ?init ?(mixing = `Anderson)
   in
   let dx = Modespace.site_spacing in
   let w_eff = Params.effective_width p in
+  (* Mode chains share the onsite profile; only the hoppings differ. *)
+  let hoppings =
+    Array.map
+      (fun ((m : Modespace.mode), _) ->
+        Array.init (n - 1) (fun i -> if i mod 2 = 0 then m.t1 else m.t2))
+      modes
+  in
+  let chains_at u =
+    let onsite = Array.init n (fun i -> u.(i) +. imp.(i)) in
+    let chains =
+      Array.mapi
+        (fun k (_, sigma) ->
+          { Rgf.onsite; hopping = hoppings.(k); sigma_l = sigma; sigma_r = sigma })
+        modes
+    in
+    (onsite, chains)
+  in
   (* Charge implied by a potential profile (summed over mode chains). *)
   let charge_of u =
     Fault.fail fault_charge;
     Obs.Counter.incr c_charge;
-    let total = Array.make n 0. in
-    Array.iter
-      (fun ((m : Modespace.mode), sigma) ->
-        let onsite = Array.init n (fun i -> u.(i) +. imp.(i)) in
-        let hopping =
-          Array.init (n - 1) (fun i -> if i mod 2 = 0 then m.t1 else m.t2)
-        in
-        let chain = { Rgf.onsite; hopping; sigma_l = sigma; sigma_r = sigma } in
-        let q =
-          Observables.site_charge ~eta:1.5e-3 ~parallel ~obs ~bias ~egrid
-            ~midgap:onsite
-            (fun _ -> chain)
-        in
-        for i = 0 to n - 1 do
-          total.(i) <- total.(i) +. q.(i)
-        done)
-      modes;
-    total
+    let onsite, chains = chains_at u in
+    Observables.site_charge ~eta:1.5e-3 ~parallel ~obs ~bias ~egrid
+      ~midgap:onsite (fun _ -> chains)
   in
-  (* Poisson update for a given charge.  [poisson_calls] feeds the
-     per-iteration trace entries (deltas around each SCF step); Stack2d is
-     a direct factorized solve, so "Poisson iterations" per SCF step is a
-     solve count, not an inner iteration count. *)
+  (* Poisson update for a given charge: the sheet-row potential from the
+     precomputed Green's matrix.  [poisson_calls] feeds the per-iteration
+     trace entries (deltas around each SCF step); the update is direct,
+     so "Poisson iterations" per SCF step is a solve count, not an inner
+     iteration count. *)
   let poisson_calls = ref 0 in
   let poisson_of site_charge =
     Fault.fail fault_poisson;
     incr poisson_calls;
     Obs.Counter.incr c_poisson;
     let sheet = Array.map (fun q -> q /. (dx *. w_eff)) site_charge in
-    let u_grid = Stack2d.solve stack ~bc ~sheet_charge:sheet in
-    Stack2d.plane_potential stack u_grid
+    Stack2d.plane_solve stack ~bc ~sheet_charge:sheet
   in
   let u0 =
     match init with
@@ -163,15 +166,11 @@ let solve ?(tol = 1e-3) ?(max_iter = 120) ?init ?(mixing = `Anderson)
   in
   (* Diagonal Poisson self-response du_i/dq_i (V/C), used to precondition
      the fixed point a la Gummel: in strong inversion the charge reacts as
-     ~ q/kT per volt, so the raw map has loop gain r*|q|/kT >> 1. *)
-  let zero_charge = poisson_of (Array.make n 0.) in
+     ~ q/kT per volt, so the raw map has loop gain r*|q|/kT >> 1.  It is
+     the diagonal of the sheet-row Green's matrix, rescaled from sheet
+     density to site charge. *)
   let response =
-    let probe = 1e-21 in
-    Array.init n (fun i ->
-        let sc = Array.make n 0. in
-        sc.(i) <- probe;
-        let u = poisson_of sc in
-        Float.abs (u.(i) -. zero_charge.(i)) /. probe)
+    Array.map (fun g -> Float.abs g /. (dx *. w_eff)) (Stack2d.green_diag stack)
   in
   let precondition u q u_implied =
     Array.init n (fun i ->
@@ -199,15 +198,18 @@ let solve ?(tol = 1e-3) ?(max_iter = 120) ?init ?(mixing = `Anderson)
     | `Anderson -> 0.5
     | `Anderson_damped alpha | `Linear alpha -> alpha
   in
-  let rec iterate u it best =
+  (* One fixed-point evaluation at [u]: its charge, the potential that
+     charge implies, the update norm and the Poisson solves it spent. *)
+  let evaluate u =
     let p0 = !poisson_calls in
     let q = charge_of u in
     let u_implied = poisson_of q in
-    let res = Vec.max_abs_diff u_implied u in
-    let best = match best with
-      | Some (_, _, r) when r <= res -> best
-      | _ -> Some (u, q, res)
-    in
+    (q, u_implied, Vec.max_abs_diff u_implied u, !poisson_calls - p0)
+  in
+  (* [best] is the lowest-residual iterate so far, seeded with the
+     first. *)
+  let rec iterate u (q, u_implied, res, solves) it ((_, _, best_r) as best) =
+    let best = if best_r <= res then best else (u, q, res) in
     if res < !best_res *. 0.98 then begin
       best_res := res;
       stall := 0
@@ -220,18 +222,12 @@ let solve ?(tol = 1e-3) ?(max_iter = 120) ?init ?(mixing = `Anderson)
     end;
     let record mixing_factor =
       traces :=
-        {
-          step = it;
-          update_norm = res;
-          mixing_factor;
-          poisson_solves = !poisson_calls - p0;
-          restarted;
-        }
+        { step = it; update_norm = res; mixing_factor; poisson_solves = solves; restarted }
         :: !traces
     in
     if res <= tol || it >= max_iter then begin
       record 0.;
-      let u, q, res = match best with Some b -> b | None -> assert false in
+      let u, q, res = best in
       (u, q, it, res)
     end
     else begin
@@ -241,10 +237,14 @@ let solve ?(tol = 1e-3) ?(max_iter = 120) ?init ?(mixing = `Anderson)
         if !slow then Vec.add u (Vec.scale 0.25 (Vec.sub target u))
         else Mixing.step mixer ~x:u ~gx:target
       in
-      iterate u' (it + 1) best
+      iterate u' (evaluate u') (it + 1) best
     end
   in
-  let u, q, iterations, residual = iterate u0 0 None in
+  let first = evaluate u0 in
+  let u, q, iterations, residual =
+    let q0, _, res0, _ = first in
+    iterate u0 first 0 (u0, q0, res0)
+  in
   (* Typed convergence status (docs/ROBUST.md): [residual] is the best
      update norm over the run, and any iterate at or below [tol]
      terminates the loop, so [residual <= tol] is exactly "converged".
@@ -261,16 +261,11 @@ let solve ?(tol = 1e-3) ?(max_iter = 120) ?init ?(mixing = `Anderson)
   (* Terminal current of the converged device. *)
   let current =
     Array.fold_left
-      (fun acc ((m : Modespace.mode), sigma) ->
-        let onsite = Array.init n (fun i -> u.(i) +. imp.(i)) in
-        let hopping =
-          Array.init (n - 1) (fun i -> if i mod 2 = 0 then m.t1 else m.t2)
-        in
-        let chain = { Rgf.onsite; hopping; sigma_l = sigma; sigma_r = sigma } in
+      (fun acc chain ->
         acc
         +. Observables.current ~eta:1.5e-3 ~parallel ~obs ~bias ~egrid
              (fun _ -> chain))
-      0. modes
+      0. (snd (chains_at u))
   in
   {
     vg;

@@ -17,31 +17,39 @@ let band_gap b =
 
 let conduction_subbands b m =
   if m < 1 then invalid_arg "Bands.conduction_subbands: m must be positive";
-  let positive es =
-    let ps = Array.of_list (List.filter (fun e -> e > 0.) (Array.to_list es)) in
-    Array.sort compare ps;
-    ps
+  (* Energies are ascending at every k, so the positive ones are a
+     suffix starting at the first e > 0. *)
+  let first_positive es =
+    let rec go i = if i < Array.length es && not (es.(i) > 0.) then go (i + 1) else i in
+    go 0
   in
-  let per_k = Array.map positive b.energies in
-  let available = Array.fold_left (fun acc ps -> min acc (Array.length ps)) max_int per_k in
+  let starts = Array.map first_positive b.energies in
+  let available =
+    Array.fold_left min max_int
+      (Array.mapi (fun k es -> Array.length es - starts.(k)) b.energies)
+  in
   let m = min m available in
   Array.init m (fun p ->
       let lo = ref infinity and hi = ref neg_infinity in
-      Array.iter
-        (fun ps ->
-          lo := Float.min !lo ps.(p);
-          hi := Float.max !hi ps.(p))
-        per_k;
+      Array.iteri
+        (fun k es ->
+          lo := Float.min !lo es.(starts.(k) + p);
+          hi := Float.max !hi es.(starts.(k) + p))
+        b.energies;
       (!lo, !hi))
 
-let gap_cache : (int, float) Hashtbl.t = Hashtbl.create 8
+(* One band structure per (GNR index, nk) for the life of the process,
+   shared by the gap lookup and the mode-space reduction. *)
+let cache : (int * int, t) Hashtbl.t = Hashtbl.create 8
 
-let gap_mutex = Mutex.create ()
+let cache_mutex = Mutex.create ()
 
-let gap_of_index ?(nk = 65) n =
-  match Mutex.protect gap_mutex (fun () -> Hashtbl.find_opt gap_cache n) with
-  | Some g -> g
+let of_index ?(nk = 65) n =
+  match Mutex.protect cache_mutex (fun () -> Hashtbl.find_opt cache (n, nk)) with
+  | Some b -> b
   | None ->
-    let g = band_gap (compute ~nk (Tight_binding.make n)) in
-    Mutex.protect gap_mutex (fun () -> Hashtbl.replace gap_cache n g);
-    g
+    let b = compute ~nk (Tight_binding.make n) in
+    Mutex.protect cache_mutex (fun () -> Hashtbl.replace cache (n, nk) b);
+    b
+
+let gap_of_index ?nk n = band_gap (of_index ?nk n)

@@ -17,6 +17,10 @@ val conduction_subbands : t -> int -> (float * float) array
     subbands, the pair (band minimum, band maximum) in eV.  Subband [p] is
     the p-th positive eigenvalue at each k, tracked by sorted order. *)
 
+val of_index : ?nk:int -> int -> t
+(** Band structure of the A-GNR with the given index (default hopping
+    parameters) on [nk] (default 65) k-points, memoized per
+    [(index, nk)] for the life of the process. *)
+
 val gap_of_index : ?nk:int -> int -> float
-(** Convenience: band gap (eV) of the A-GNR with the given index, with
-    default hopping parameters. Results are memoized. *)
+(** Convenience: [band_gap (of_index ?nk n)], in eV. *)

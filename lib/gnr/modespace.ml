@@ -1,25 +1,16 @@
 type mode = { index : int; delta : float; emax : float; t1 : float; t2 : float }
 type t = { n : int; gap : float; modes : mode array }
 
-let cache : (int * int, t) Hashtbl.t = Hashtbl.create 8
-
-let cache_mutex = Mutex.create ()
-
-let reduce ?(nk = 65) ?(n_modes = 2) n =
-  match Mutex.protect cache_mutex (fun () -> Hashtbl.find_opt cache (n, n_modes)) with
-  | Some v -> v
-  | None ->
-    let bands = Bands.compute ~nk (Tight_binding.make n) in
-    let subbands = Bands.conduction_subbands bands n_modes in
-    let modes =
-      Array.mapi
-        (fun index (delta, emax) ->
-          { index; delta; emax; t1 = (emax +. delta) /. 2.; t2 = (emax -. delta) /. 2. })
-        subbands
-    in
-    let v = { n; gap = Bands.band_gap bands; modes } in
-    Mutex.protect cache_mutex (fun () -> Hashtbl.replace cache (n, n_modes) v);
-    v
+let reduce ?nk ?(n_modes = 2) n =
+  let bands = Bands.of_index ?nk n in
+  let subbands = Bands.conduction_subbands bands n_modes in
+  let modes =
+    Array.mapi
+      (fun index (delta, emax) ->
+        { index; delta; emax; t1 = (emax +. delta) /. 2.; t2 = (emax -. delta) /. 2. })
+      subbands
+  in
+  { n; gap = Bands.band_gap bands; modes }
 
 let site_spacing = Lattice.period /. 2.
 

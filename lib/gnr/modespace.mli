@@ -27,8 +27,8 @@ type t = {
 
 val reduce : ?nk:int -> ?n_modes:int -> int -> t
 (** [reduce n] extracts the lowest [n_modes] (default 2) subbands of the
-    index-[n] A-GNR (default hopping parameters).  Memoized per
-    [(n, n_modes)]. *)
+    index-[n] A-GNR (default hopping parameters) from its memoized band
+    structure {!Bands.of_index} on [nk] (default 65) k-points. *)
 
 val site_spacing : float
 (** Longitudinal spacing between chain sites, m ([period / 2]). *)

@@ -29,16 +29,11 @@ let transmission_spectrum ?eta ?parallel ?obs ?ctx ~egrid chain_at =
   let ne = Array.length egrid in
   let out = Array.make ne 0. in
   (* Chunks write disjoint index ranges of [out].  gnrlint: allow-shared *)
-  ignore
-    (Parallel.map_reduce ?domains:(domains_of parallel) ~n:ne
-       ~worker:(fun _ -> Rgf.workspace ())
-       ~body:(fun ws ~lo ~hi ->
-         Obs.Counter.add c_energies (hi - lo);
-         for k = lo to hi - 1 do
-           out.(k) <- Rgf.transmission_into ?eta ws (chain_at egrid.(k)) egrid.(k)
-         done)
-       ~combine:(fun () () -> ())
-       ());
+  Parallel.parallel_for ?domains:(domains_of parallel) ~n:ne (fun ~lo ~hi ->
+      Obs.Counter.add c_energies (hi - lo);
+      for k = lo to hi - 1 do
+        out.(k) <- Rgf.transmission ?eta (chain_at egrid.(k)) egrid.(k)
+      done);
   Obs.Timer.stop tm t0;
   out
 
@@ -49,23 +44,23 @@ let current ?eta ?parallel ?obs ?ctx ~bias ~egrid chain_at =
   let c_energies = Obs.Counter.make ~obs "rgf.transmission_energies" in
   let t0 = Obs.Timer.start tm in
   let { mu_s; mu_d; kt } = bias in
-  let integrand ws k =
+  let integrand k =
     let e = egrid.(k) in
     let window = Fermi.window ~mu1:mu_s ~mu2:mu_d ~kt e in
     if Float.abs window < 1e-14 then 0.
-    else Rgf.transmission_into ?eta ws (chain_at e) e *. window
+    else Rgf.transmission ?eta (chain_at e) e *. window
   in
   (* Trapezoid rule as a chunked reduction over the ne-1 intervals. *)
   let integral =
     Parallel.map_reduce ?domains:(domains_of parallel)
       ~n:(Array.length egrid - 1)
-      ~worker:(fun _ -> Rgf.workspace ())
-      ~body:(fun ws ~lo ~hi ->
+      ~worker:(fun _ -> ())
+      ~body:(fun () ~lo ~hi ->
         Obs.Counter.add c_energies (hi - lo + 1);
         let acc = ref 0. in
-        let prev = ref (integrand ws lo) in
+        let prev = ref (integrand lo) in
         for k = lo to hi - 1 do
-          let cur = integrand ws (k + 1) in
+          let cur = integrand (k + 1) in
           acc := !acc +. (0.5 *. (egrid.(k + 1) -. egrid.(k)) *. (!prev +. cur));
           prev := cur
         done;
@@ -76,84 +71,91 @@ let current ?eta ?parallel ?obs ?ctx ~bias ~egrid chain_at =
   Const.g0 *. integral
 
 (* Per-worker scratch for the charge integration: the RGF workspace plus
-   two sample buffers (signed occupied spectral weight at the previous
-   and current energy point), swapped as the chunk walks its intervals. *)
-type charge_scratch = {
-  ws : Rgf.workspace;
-  mutable s_prev : float array;
-  mutable s_cur : float array;
-}
+   the signed occupied spectral weight of every mode-site at the
+   previous energy point. *)
+type charge_scratch = { ws : Rgf.workspace; prev : float array }
 
-let site_charge ?eta ?parallel ?obs ?ctx ~bias ~egrid ~midgap chain_at =
+let site_charge ?eta ?parallel ?obs ?ctx ~bias ~egrid ~midgap chains_at =
   let c = Ctx.resolve ?ctx ?parallel ?obs () in
   let parallel = c.Ctx.parallel and obs = c.Ctx.obs in
   let tm = Obs.Timer.make ~obs "negf.site_charge" in
   let c_energies = Obs.Counter.make ~obs "rgf.spectra_energies" in
   let t0 = Obs.Timer.start tm in
   (* The timer must stop on every path: the midgap-length invalid_arg
-     below (and anything chain_at raises) would otherwise leak the
+     below (and anything chains_at raises) would otherwise leak the
      sample (gnrlint span-balance). *)
   Fun.protect ~finally:(fun () -> Obs.Timer.stop tm t0) @@ fun () ->
   let { mu_s; mu_d; kt } = bias in
-  let chain0 = chain_at egrid.(0) in
-  let n = Array.length chain0.Rgf.onsite in
+  let chains0 = chains_at egrid.(0) in
+  let nm = Array.length chains0 in
+  if nm = 0 then invalid_arg "Observables.site_charge: no mode chains";
+  let n = Array.length chains0.(0).Rgf.onsite in
   if Array.length midgap <> n then
     invalid_arg "Observables.site_charge: midgap length mismatch";
-  (* The k = 0 chain is reused rather than rebuilt (chain_at may do real
-     work per call, e.g. energy-dependent self-energies). *)
-  let chain_of k = if k = 0 then chain0 else chain_at egrid.(k) in
-  (* Signed occupied spectral weight per site at energy index k: an
-     electron count above the local mid-gap weighted by the contact
-     Fermi factors, a (negated) hole count below it weighted by the
-     complements, so both integrals converge within a few kT of the
-     contact potentials. *)
-  let sample_into scratch dst k =
-    let e = egrid.(k) in
-    ignore (Rgf.spectra_into ?eta scratch.ws (chain_of k) e);
-    let a1 = Rgf.a1 scratch.ws and a2 = Rgf.a2 scratch.ws in
-    let fs = Fermi.occupation ~mu:mu_s ~kt e in
-    let fd = Fermi.occupation ~mu:mu_d ~kt e in
-    for i = 0 to n - 1 do
-      dst.(i) <-
-        (if e >= midgap.(i) then (a1.(i) *. fs) +. (a2.(i) *. fd)
-         else -.((a1.(i) *. (1. -. fs)) +. (a2.(i) *. (1. -. fd))))
-    done
-  in
+  let len = nm * n in
+  (* The k = 0 chains are reused rather than rebuilt (chains_at may do
+     real work per call, e.g. energy-dependent self-energies). *)
+  let chains_of k = if k = 0 then chains0 else chains_at egrid.(k) in
   (* Trapezoid accumulation of the occupied spectral weight over the
-     ne-1 energy intervals, chunked: each chunk integrates its intervals
-     into fresh electron/hole accumulators (split by sign so electron
-     and hole counts stay separately positive). *)
+     ne-1 energy intervals, chunked: each chunk samples its lower
+     boundary and then one point per interval, integrating into fresh
+     per-mode electron/hole accumulators (split by sign so electron and
+     hole counts stay separately positive).  The signed weight per mode
+     and site is an electron count above the local mid-gap weighted by
+     the contact Fermi factors, a (negated) hole count below it weighted
+     by the complements, so both integrals converge within a few kT of
+     the contact potentials.  One kernel call and one pair of Fermi
+     factors per energy serve every mode. *)
   let electrons, holes =
     Parallel.map_reduce ?domains:(domains_of parallel)
       ~n:(Array.length egrid - 1)
-      ~worker:(fun _ ->
-        { ws = Rgf.workspace ~hint:n (); s_prev = Array.make n 0.; s_cur = Array.make n 0. })
-      ~body:(fun scratch ~lo ~hi ->
+      ~worker:(fun _ -> { ws = Rgf.workspace ~hint:len (); prev = Array.make len 0. })
+      ~body:(fun { ws; prev } ~lo ~hi ->
         (* One boundary sample plus one per interval (docs/OBS.md). *)
         Obs.Counter.add c_energies (hi - lo + 1);
-        let electrons = Array.make n 0. and holes = Array.make n 0. in
-        sample_into scratch scratch.s_prev lo;
-        for k = lo to hi - 1 do
-          sample_into scratch scratch.s_cur (k + 1);
-          let h = 0.5 *. (egrid.(k + 1) -. egrid.(k)) in
-          let sp = scratch.s_prev and sc = scratch.s_cur in
-          for i = 0 to n - 1 do
-            let v = h *. (sp.(i) +. sc.(i)) in
-            if v >= 0. then electrons.(i) <- electrons.(i) +. v
-            else holes.(i) <- holes.(i) -. v
-          done;
-          scratch.s_prev <- sc;
-          scratch.s_cur <- sp
+        let electrons = Array.make len 0. and holes = Array.make len 0. in
+        for k = lo to hi do
+          let e = egrid.(k) in
+          Rgf.spectra_into ?eta ws (chains_of k) e;
+          let a1 = Rgf.a1 ws and a2 = Rgf.a2 ws in
+          let fs = Fermi.occupation ~mu:mu_s ~kt e in
+          let fd = Fermi.occupation ~mu:mu_d ~kt e in
+          let interval = k > lo in
+          let h = if interval then 0.5 *. (e -. egrid.(k - 1)) else 0. in
+          for m = 0 to nm - 1 do
+            for i = 0 to n - 1 do
+              let x = (m * n) + i in
+              let cur =
+                if e >= midgap.(i) then (a1.(x) *. fs) +. (a2.(x) *. fd)
+                else -.((a1.(x) *. (1. -. fs)) +. (a2.(x) *. (1. -. fd)))
+              in
+              if interval then begin
+                let v = h *. (prev.(x) +. cur) in
+                if v >= 0. then electrons.(x) <- electrons.(x) +. v
+                else holes.(x) <- holes.(x) -. v
+              end;
+              prev.(x) <- cur
+            done
+          done
         done;
         (electrons, holes))
       ~combine:(fun (ea, ha) (eb, hb) ->
-        for i = 0 to n - 1 do
-          ea.(i) <- ea.(i) +. eb.(i);
-          ha.(i) <- ha.(i) +. hb.(i)
+        for x = 0 to len - 1 do
+          ea.(x) <- ea.(x) +. eb.(x);
+          ha.(x) <- ha.(x) +. hb.(x)
         done;
         (ea, ha))
-      (Array.make n 0., Array.make n 0.)
+      (Array.make len 0., Array.make len 0.)
   in
-  (* Spin degeneracy 2; 2π spectral normalization; electrons negative. *)
+  (* Spin degeneracy 2; 2π spectral normalization; electrons negative.
+     Modes are summed in array order, each mode's net charge formed
+     first. *)
   let scale = 2. *. Const.q /. (2. *. Float.pi) in
-  Array.init n (fun i -> -.scale *. (electrons.(i) -. holes.(i)))
+  let total = Array.make n 0. in
+  for m = 0 to nm - 1 do
+    let b = m * n in
+    for i = 0 to n - 1 do
+      total.(i) <- total.(i) +. (-.scale *. (electrons.(b + i) -. holes.(b + i)))
+    done
+  done;
+  total

@@ -62,14 +62,28 @@ val site_charge :
   bias:bias ->
   egrid:float array ->
   midgap:float array ->
-  (float -> Rgf.chain) ->
+  (float -> Rgf.chain array) ->
   float array
-(** Net mobile charge per site in coulombs (negative where electrons
-    dominate), computed from the contact-resolved spectral functions:
-    electrons are counted above the local [midgap] energy weighted by the
-    contact Fermi factors, holes below it weighted by the complements, with
-    spin degeneracy 2.  The [midgap] array is the local charge-neutrality
-    level per site (normally equal to [chain.onsite]). *)
+(** [site_charge ~bias ~egrid ~midgap chains_at]: net mobile charge per
+    site in coulombs (negative where electrons dominate), summed over the
+    mode chains [chains_at e] (at least one, all of the same length;
+    modes share the site grid and the potential).  Each mode's charge
+    comes from its contact-resolved spectral functions: electrons are
+    counted above the local [midgap] energy weighted by the contact Fermi
+    factors, holes below it weighted by the complements, with spin
+    degeneracy 2.  The [midgap] array is the local charge-neutrality
+    level per site (normally equal to the chains' [onsite]).
+
+    All modes are integrated in one pass over the grid: per energy one
+    {!Rgf.spectra_into} call covers every mode and the Fermi factors are
+    evaluated once.  Electron and hole weights are accumulated per mode
+    and the per-mode net charges are summed in array order, so the result
+    is bit-identical to calling the one-mode form per mode and adding the
+    results in that order.  Return the same array from [chains_at] for
+    every energy when the chains do not depend on it (wide-band
+    contacts): each worker then validates them once.
+    [rgf.spectra_energies] counts energy points, each covering all
+    modes. *)
 
 val transmission_spectrum :
   ?eta:float ->

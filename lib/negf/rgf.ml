@@ -24,31 +24,26 @@ let inv_re zr zi = let d = (zr *. zr) +. (zi *. zi) in zr /. d
 
 let inv_im zr zi = let d = (zr *. zr) +. (zi *. zi) in -.zi /. d
 
-(* Preallocated per-worker scratch: [spectra] allocates ten length-n
-   arrays per energy point, which dominates the allocation rate of an
-   SCF sweep (thousands of energies per charge evaluation).  A workspace
-   holds the Green's-function sweeps, the first/last-column propagations
-   and the output diagonals, grown geometrically on demand; the arrays
-   may be longer than the current chain, so every kernel below indexes
-   strictly through [0, n).
+(* Preallocated per-worker scratch for the multi-mode spectra kernel:
+   the charge integration calls it thousands of times per evaluation, and
+   allocating its sweeps per energy would dominate the allocation rate of
+   an SCF sweep.  Every array is mode-major (mode [m], site [i] at
+   [m * n + i]) and grown geometrically on demand, so it may be longer
+   than [modes * n]; the kernel indexes strictly through [0, modes * n).
 
-   The workspace also caches the last chain vetted by [check] (physical
-   equality): per-energy calls on the same chain — the common case, an
-   SCF iteration walks a whole energy grid with one chain — skip the
-   redundant length re-validation while malformed chains still fail with
-   the same [Invalid_argument] on first contact. *)
+   The workspace also caches the last mode array vetted by
+   [check_modes] (physical equality): per-energy calls on the same array
+   — the common case, an SCF iteration walks a whole energy grid with one
+   set of mode chains — skip the re-validation while malformed chains
+   still fail with the same [Invalid_argument] on first contact. *)
 type workspace = {
   mutable glr : float array;
   mutable gli : float array;
   mutable grr : float array;
   mutable gri : float array;
-  mutable c0r : float array;
-  mutable c0i : float array;
-  mutable cnr : float array;
-  mutable cni : float array;
   mutable wa1 : float array;
   mutable wa2 : float array;
-  mutable validated : chain option;
+  mutable validated : chain array option;
 }
 
 let workspace ?(hint = 0) () =
@@ -58,10 +53,6 @@ let workspace ?(hint = 0) () =
     gli = mk ();
     grr = mk ();
     gri = mk ();
-    c0r = mk ();
-    c0i = mk ();
-    cnr = mk ();
-    cni = mk ();
     wa1 = mk ();
     wa2 = mk ();
     validated = None;
@@ -71,36 +62,176 @@ let a1 ws = ws.wa1
 
 let a2 ws = ws.wa2
 
-let ensure_capacity ws n =
-  if Array.length ws.glr < n then begin
-    let cap = max n (2 * Array.length ws.glr) in
+let ensure_capacity ws len =
+  if Array.length ws.glr < len then begin
+    let cap = max len (2 * Array.length ws.glr) in
     ws.glr <- Array.make cap 0.;
     ws.gli <- Array.make cap 0.;
     ws.grr <- Array.make cap 0.;
     ws.gri <- Array.make cap 0.;
-    ws.c0r <- Array.make cap 0.;
-    ws.c0i <- Array.make cap 0.;
-    ws.cnr <- Array.make cap 0.;
-    ws.cni <- Array.make cap 0.;
     ws.wa1 <- Array.make cap 0.;
     ws.wa2 <- Array.make cap 0.
   end
 
-let check_cached ws chain =
+let check_modes chains =
+  let nm = Array.length chains in
+  if nm = 0 then invalid_arg "Rgf: no mode chains";
+  let n = check chains.(0) in
+  Array.iter
+    (fun c ->
+      if check c <> n then invalid_arg "Rgf: mode chains differ in length")
+    chains;
+  n
+
+let check_cached ws chains =
   match ws.validated with
-  | Some c when c == chain -> Array.length chain.onsite
+  | Some c when c == chains -> Array.length chains.(0).onsite
   | Some _ | None ->
-    let n = check chain in
-    ensure_capacity ws n;
-    ws.validated <- Some chain;
+    let n = check_modes chains in
+    ensure_capacity ws (Array.length chains * n);
+    ws.validated <- Some chains;
     n
 
-(* Core spectra kernel writing into caller-provided scratch (each array
-   at least length [n]); returns the coherent transmission. *)
-let spectra_core ~eta ~n ~glr ~gli ~grr ~gri ~c0r ~c0i ~cnr ~cni ~a1 ~a2 chain e =
+(* The multi-mode spectra kernel.  The scalar recursion is bound by the
+   latency of its two divisions per site, not by their throughput.  The
+   left and right sweeps of a chain are independent of each other, and
+   so are the chains of different modes, so the kernel walks two modes
+   at once: each step of the site loop advances the left sweep at site
+   [s] and the right sweep at site [n-1-s] of both modes, four
+   independent division chains written out in straight-line code for
+   the CPU to overlap.  The first- and last-column propagations are
+   paired the same way.  An odd last mode is paired with itself (its two
+   halves compute and store the same values).  Per element the
+   arithmetic is exactly that of the one-chain recursion in [spectra],
+   so every value is bit-identical to it. *)
+
+(* Left-connected gL (arrays [glr]/[gli]) and right-connected gR
+   ([grr]/[gri]) of chains [c] and [c'] stored at offsets [b] and [b'];
+   the far contact joins each sweep at its last site.  The previous
+   step's values ride in local refs (unboxed registers), so the
+   dependency chains never wait on a store-to-load round trip. *)
+let sweeps2 ~eta ~n ~glr ~gli ~grr ~gri c b c' b' e =
+  let u = c.onsite and h = c.hopping in
+  let u' = c'.onsite and h' = c'.hopping in
+  (* Sweep ends: gL_0 and gR_{n-1} carry their own contact. *)
+  let zr = e -. u.(0) -. c.sigma_l.Complex.re and zi = eta -. c.sigma_l.Complex.im in
+  let wr = e -. u.(n - 1) -. c.sigma_r.Complex.re and wi = eta -. c.sigma_r.Complex.im in
+  let zr' = e -. u'.(0) -. c'.sigma_l.Complex.re and zi' = eta -. c'.sigma_l.Complex.im in
+  let wr' = e -. u'.(n - 1) -. c'.sigma_r.Complex.re
+  and wi' = eta -. c'.sigma_r.Complex.im in
+  let dl = (zr *. zr) +. (zi *. zi) and dr = (wr *. wr) +. (wi *. wi) in
+  let dl' = (zr' *. zr') +. (zi' *. zi') and dr' = (wr' *. wr') +. (wi' *. wi') in
+  let lr = ref (zr /. dl) and li = ref (-.zi /. dl) in
+  let rr = ref (wr /. dr) and ri = ref (-.wi /. dr) in
+  let lr' = ref (zr' /. dl') and li' = ref (-.zi' /. dl') in
+  let rr' = ref (wr' /. dr') and ri' = ref (-.wi' /. dr') in
+  glr.(b) <- !lr;
+  gli.(b) <- !li;
+  grr.(b + n - 1) <- !rr;
+  gri.(b + n - 1) <- !ri;
+  glr.(b') <- !lr';
+  gli.(b') <- !li';
+  grr.(b' + n - 1) <- !rr';
+  gri.(b' + n - 1) <- !ri';
+  for s = 1 to n - 1 do
+    let i = s and j = n - 1 - s in
+    let tl = h.(i - 1) *. h.(i - 1) and tl' = h'.(i - 1) *. h'.(i - 1) in
+    let tr = h.(j) *. h.(j) and tr' = h'.(j) *. h'.(j) in
+    let zr = e -. u.(i) -. (tl *. !lr) and zi = eta -. (tl *. !li) in
+    let wr = e -. u.(j) -. (tr *. !rr) and wi = eta -. (tr *. !ri) in
+    let zr' = e -. u'.(i) -. (tl' *. !lr') and zi' = eta -. (tl' *. !li') in
+    let wr' = e -. u'.(j) -. (tr' *. !rr') and wi' = eta -. (tr' *. !ri') in
+    let zr = if i = n - 1 then zr -. c.sigma_r.Complex.re else zr in
+    let zi = if i = n - 1 then zi -. c.sigma_r.Complex.im else zi in
+    let zr' = if i = n - 1 then zr' -. c'.sigma_r.Complex.re else zr' in
+    let zi' = if i = n - 1 then zi' -. c'.sigma_r.Complex.im else zi' in
+    let wr = if j = 0 then wr -. c.sigma_l.Complex.re else wr in
+    let wi = if j = 0 then wi -. c.sigma_l.Complex.im else wi in
+    let wr' = if j = 0 then wr' -. c'.sigma_l.Complex.re else wr' in
+    let wi' = if j = 0 then wi' -. c'.sigma_l.Complex.im else wi' in
+    let dl = (zr *. zr) +. (zi *. zi) and dr = (wr *. wr) +. (wi *. wi) in
+    let dl' = (zr' *. zr') +. (zi' *. zi') and dr' = (wr' *. wr') +. (wi' *. wi') in
+    lr := zr /. dl;
+    li := -.zi /. dl;
+    rr := wr /. dr;
+    ri := -.wi /. dr;
+    lr' := zr' /. dl';
+    li' := -.zi' /. dl';
+    rr' := wr' /. dr';
+    ri' := -.wi' /. dr';
+    glr.(b + i) <- !lr;
+    gli.(b + i) <- !li;
+    grr.(b + j) <- !rr;
+    gri.(b + j) <- !ri;
+    glr.(b' + i) <- !lr';
+    gli.(b' + i) <- !li';
+    grr.(b' + j) <- !rr';
+    gri.(b' + j) <- !ri'
+  done
+
+(* First column G_{i,0} = gR_i h_{i-1} G_{i-1,0} from the fully connected
+   G_{0,0} = gR_0, and last column G_{j,n-1} = gL_j h_j G_{j+1,n-1} from
+   G_{n-1,n-1} = gL_{n-1}; their squared moduli weighted by the contact
+   broadenings are the spectral diagonals [a1] and [a2].  The running
+   column elements live in local refs only. *)
+let columns2 ~n ~glr ~gli ~grr ~gri ~a1 ~a2 c b c' b' =
+  let h = c.hopping and h' = c'.hopping in
+  let gl = gamma_of_sigma c.sigma_l and gr = gamma_of_sigma c.sigma_r in
+  let gl' = gamma_of_sigma c'.sigma_l and gr' = gamma_of_sigma c'.sigma_r in
+  let l = b + n - 1 and l' = b' + n - 1 in
+  let xr = ref grr.(b) and xi = ref gri.(b) and yr = ref glr.(l) and yi = ref gli.(l) in
+  let xr' = ref grr.(b') and xi' = ref gri.(b') in
+  let yr' = ref glr.(l') and yi' = ref gli.(l') in
+  a1.(b) <- gl *. ((!xr *. !xr) +. (!xi *. !xi));
+  a2.(l) <- gr *. ((!yr *. !yr) +. (!yi *. !yi));
+  a1.(b') <- gl' *. ((!xr' *. !xr') +. (!xi' *. !xi'));
+  a2.(l') <- gr' *. ((!yr' *. !yr') +. (!yi' *. !yi'));
+  for s = 1 to n - 1 do
+    let i = s and j = n - 1 - s in
+    let ar = grr.(b + i) *. h.(i - 1) and ai = gri.(b + i) *. h.(i - 1) in
+    let br = glr.(b + j) *. h.(j) and bi = gli.(b + j) *. h.(j) in
+    let ar' = grr.(b' + i) *. h'.(i - 1) and ai' = gri.(b' + i) *. h'.(i - 1) in
+    let br' = glr.(b' + j) *. h'.(j) and bi' = gli.(b' + j) *. h'.(j) in
+    let pr = !xr and pi = !xi and qr = !yr and qi = !yi in
+    let pr' = !xr' and pi' = !xi' and qr' = !yr' and qi' = !yi' in
+    xr := (ar *. pr) -. (ai *. pi);
+    xi := (ar *. pi) +. (ai *. pr);
+    yr := (br *. qr) -. (bi *. qi);
+    yi := (br *. qi) +. (bi *. qr);
+    xr' := (ar' *. pr') -. (ai' *. pi');
+    xi' := (ar' *. pi') +. (ai' *. pr');
+    yr' := (br' *. qr') -. (bi' *. qi');
+    yi' := (br' *. qi') +. (bi' *. qr');
+    a1.(b + i) <- gl *. ((!xr *. !xr) +. (!xi *. !xi));
+    a2.(b + j) <- gr *. ((!yr *. !yr) +. (!yi *. !yi));
+    a1.(b' + i) <- gl' *. ((!xr' *. !xr') +. (!xi' *. !xi'));
+    a2.(b' + j) <- gr' *. ((!yr' *. !yr') +. (!yi' *. !yi'))
+  done
+
+let spectra_into ?(eta = 1e-6) ws chains e =
+  let n = check_cached ws chains in
+  let nm = Array.length chains in
+  let { glr; gli; grr; gri; wa1 = a1; wa2 = a2; _ } = ws in
+  let m = ref 0 in
+  while !m < nm do
+    let m' = if !m + 1 < nm then !m + 1 else !m in
+    let c = chains.(!m) and b = !m * n and c' = chains.(m') and b' = m' * n in
+    sweeps2 ~eta ~n ~glr ~gli ~grr ~gri c b c' b' e;
+    columns2 ~n ~glr ~gli ~grr ~gri ~a1 ~a2 c b c' b';
+    m := !m + 2
+  done
+
+(* The allocating one-chain reference kernel: the plain sequential
+   recursion, kept as the oracle the fused kernel is tested against. *)
+let spectra ?(eta = 1e-6) chain e =
+  let n = check chain in
   let u = chain.onsite and h = chain.hopping in
   let slr = chain.sigma_l.Complex.re and sli = chain.sigma_l.Complex.im in
   let srr = chain.sigma_r.Complex.re and sri = chain.sigma_r.Complex.im in
+  let glr = Array.make n 0. and gli = Array.make n 0. in
+  let grr = Array.make n 0. and gri = Array.make n 0. in
+  let c0r = Array.make n 0. and c0i = Array.make n 0. in
+  let cnr = Array.make n 0. and cni = Array.make n 0. in
   (* Left-connected Green's functions gL_i. *)
   let zr0 = e -. u.(0) -. slr and zi0 = eta -. sli in
   glr.(0) <- inv_re zr0 zi0;
@@ -147,34 +278,19 @@ let spectra_core ~eta ~n ~glr ~gli ~grr ~gri ~c0r ~c0i ~cnr ~cni ~a1 ~a2 chain e
   done;
   let gamma_l = gamma_of_sigma chain.sigma_l in
   let gamma_r = gamma_of_sigma chain.sigma_r in
-  for i = 0 to n - 1 do
-    a1.(i) <- gamma_l *. ((c0r.(i) *. c0r.(i)) +. (c0i.(i) *. c0i.(i)));
-    a2.(i) <- gamma_r *. ((cnr.(i) *. cnr.(i)) +. (cni.(i) *. cni.(i)))
-  done;
-  let g0n2 = (cnr.(0) *. cnr.(0)) +. (cni.(0) *. cni.(0)) in
-  gamma_l *. gamma_r *. g0n2
-
-let spectra_into ?(eta = 1e-6) ws chain e =
-  let n = check_cached ws chain in
-  spectra_core ~eta ~n ~glr:ws.glr ~gli:ws.gli ~grr:ws.grr ~gri:ws.gri
-    ~c0r:ws.c0r ~c0i:ws.c0i ~cnr:ws.cnr ~cni:ws.cni ~a1:ws.wa1 ~a2:ws.wa2
-    chain e
-
-let spectra ?(eta = 1e-6) chain e =
-  let n = check chain in
-  let glr = Array.make n 0. and gli = Array.make n 0. in
-  let grr = Array.make n 0. and gri = Array.make n 0. in
-  let c0r = Array.make n 0. and c0i = Array.make n 0. in
-  let cnr = Array.make n 0. and cni = Array.make n 0. in
-  let a1 = Array.make n 0. and a2 = Array.make n 0. in
-  let t_coh =
-    spectra_core ~eta ~n ~glr ~gli ~grr ~gri ~c0r ~c0i ~cnr ~cni ~a1 ~a2 chain e
+  let a1 =
+    Array.init n (fun i -> gamma_l *. ((c0r.(i) *. c0r.(i)) +. (c0i.(i) *. c0i.(i))))
   in
-  { t_coh; a1; a2 }
+  let a2 =
+    Array.init n (fun i -> gamma_r *. ((cnr.(i) *. cnr.(i)) +. (cni.(i) *. cni.(i))))
+  in
+  let g0n2 = (cnr.(0) *. cnr.(0)) +. (cni.(0) *. cni.(0)) in
+  { t_coh = gamma_l *. gamma_r *. g0n2; a1; a2 }
 
-(* Single left sweep, propagating the (0, i) matrix element product:
-   allocation-free already, shared by both transmission entry points. *)
-let transmission_core ~eta ~n chain e =
+(* Single left sweep, propagating the (0, i) matrix element product;
+   allocation-free. *)
+let transmission ?(eta = 1e-6) chain e =
+  let n = check chain in
   let u = chain.onsite and h = chain.hopping in
   let slr = chain.sigma_l.Complex.re and sli = chain.sigma_l.Complex.im in
   let srr = chain.sigma_r.Complex.re and sri = chain.sigma_r.Complex.im in
@@ -202,11 +318,3 @@ let transmission_core ~eta ~n chain e =
   let gamma_l = gamma_of_sigma chain.sigma_l in
   let gamma_r = gamma_of_sigma chain.sigma_r in
   gamma_l *. gamma_r *. ((!pr *. !pr) +. (!pi *. !pi))
-
-let transmission ?(eta = 1e-6) chain e =
-  let n = check chain in
-  transmission_core ~eta ~n chain e
-
-let transmission_into ?(eta = 1e-6) ws chain e =
-  let n = check_cached ws chain in
-  transmission_core ~eta ~n chain e

@@ -32,38 +32,41 @@ val spectra : ?eta:float -> chain -> float -> spectra
     the suite; the local density of states per site is
     [(a1 + a2) / 2π]. *)
 
-(** {2 Allocation-free workspace paths}
+(** {2 The allocation-free multi-mode kernel}
 
-    [spectra] allocates ten length-n arrays per energy point; the
-    energy-parallel observables instead give each worker one {!workspace}
-    and reuse it across its whole energy chunk. *)
+    [spectra] allocates ten length-n arrays per energy point and handles
+    one chain; the charge integration instead gives each worker one
+    {!workspace} and evaluates every mode chain of the device per energy
+    with {!spectra_into}. *)
 
 type workspace
 (** Preallocated RGF scratch (Green's-function sweeps, column
-    propagations, spectral diagonals).  Grows on demand; safe to reuse
-    across chains of different lengths.  Not thread-safe: one workspace
-    per worker. *)
+    propagations, spectral diagonals) for a set of mode chains.  Grows
+    on demand; safe to reuse across chain sets of different sizes.  Not
+    thread-safe: one workspace per worker. *)
 
 val workspace : ?hint:int -> unit -> workspace
-(** Fresh workspace, optionally pre-sized for chains of [hint] sites. *)
+(** Fresh workspace, optionally pre-sized for [hint] mode-sites
+    (modes × sites). *)
 
-val spectra_into : ?eta:float -> workspace -> chain -> float -> float
-(** [spectra_into ws chain e] computes the same quantities as {!spectra}
-    without allocating: the return value is [t_coh] and the spectral
-    diagonals are left in [a1 ws] / [a2 ws].  Chain validation is cached
-    per workspace (physical equality on [chain]), so per-energy calls on
-    one chain validate it once; a malformed chain raises
-    [Invalid_argument] exactly as {!spectra} does. *)
+val spectra_into : ?eta:float -> workspace -> chain array -> float -> unit
+(** [spectra_into ws chains e] computes the spectral diagonals of every
+    chain in [chains] (the modes of one device: at least one, all of the
+    same length [n]) without allocating, and leaves them in [a1 ws] /
+    [a2 ws], mode-major: mode [m], site [i] at index [m * n + i].  The
+    left and right sweeps of all modes run interleaved in one pass, so
+    their divisions overlap; each value is bit-identical to the
+    corresponding {!spectra} diagonal.  Validation is cached per
+    workspace (physical equality on [chains]), so per-energy calls on
+    one mode array validate it once; an empty array, a malformed chain or
+    chains of different lengths raise [Invalid_argument] on first
+    contact. *)
 
 val a1 : workspace -> float array
-(** Source-injected spectral diagonal of the last {!spectra_into} call,
-    valid on indices [0, n) until the next call on this workspace.  The
-    array may be longer than the chain and is re-allocated when the
+(** Source-injected spectral diagonals of the last {!spectra_into} call,
+    valid on indices [0, modes * n) until the next call on this
+    workspace.  The array may be longer and is re-allocated when the
     workspace grows — re-fetch it after each [spectra_into]. *)
 
 val a2 : workspace -> float array
 (** Drain-injected counterpart of {!a1}. *)
-
-val transmission_into : ?eta:float -> workspace -> chain -> float -> float
-(** {!transmission} through the workspace's cached chain validation (the
-    transmission sweep itself is already allocation-free). *)

@@ -1,18 +1,18 @@
 (** Eigenvalue solvers for the small dense matrices used in band-structure
-    calculations. *)
+    calculations.
 
-val symmetric : Matrix.t -> float array * Matrix.t
-(** [symmetric a] diagonalizes the real symmetric matrix [a] with the cyclic
-    Jacobi method, returning eigenvalues in ascending order and the matrix of
-    corresponding eigenvectors (columns).  [a] must be square; symmetry is the
-    caller's responsibility (the strictly lower triangle is ignored in the
-    sense that the matrix is symmetrized on entry). *)
+    Both reduce the matrix to a real symmetric tridiagonal one by
+    Householder reflections and then run the implicit QL iteration on
+    it; eigenvalues only.  A QL sweep that fails to split the matrix
+    within 60 iterations raises {!Numerics_error.Stalled}. *)
 
 val symmetric_values : Matrix.t -> float array
-(** Eigenvalues only, ascending. *)
+(** Eigenvalues of a real symmetric matrix, ascending.  [a] must be
+    square; it is symmetrized on entry ([(a + aᵀ)/2]), so symmetry is the
+    caller's responsibility. *)
 
 val hermitian_values : Cmatrix.t -> float array
-(** Eigenvalues of a complex Hermitian matrix, ascending, via the standard
-    embedding of [A + iB] into the real symmetric
-    [\[\[A, -B\]; \[B, A\]\]] whose spectrum is that of the Hermitian matrix
-    with every eigenvalue doubled. *)
+(** Eigenvalues of a complex Hermitian matrix, ascending.  The matrix is
+    reduced by complex Householder reflections to a tridiagonal one whose
+    off-diagonal moduli form the equivalent real tridiagonal; it is
+    hermitized on entry ([(h + hᴴ)/2]). *)

@@ -16,8 +16,13 @@
 
     The mobile channel charge enters as a sheet on one interior z-row.
     The system matrix depends only on the grid, permittivity and contact
-    style, so it is factorized once (banded LU) and reused for every
-    right-hand side of the self-consistent loop. *)
+    style, so it is factorized once (banded LU).  The self-consistent
+    loop only needs the potential on the sheet row, which is linear in
+    the sheet charge and in the four boundary values, so {!make} also
+    precomputes the sheet-row Green's matrix G (one factorized solve per
+    sheet node) and the response to each unit boundary value (four
+    more); {!plane_solve} is then one matrix-vector product plus four
+    scaled additions.  The full-grid {!solve} stays the reference. *)
 
 type t
 
@@ -46,10 +51,21 @@ val nz : t -> int
 val solve : t -> bc:bc -> sheet_charge:float array -> float array array
 (** [solve t ~bc ~sheet_charge] where [sheet_charge.(i)] is the sheet
     density (C/m²) under interior x-node [i+1] (length [nx-2]); returns the
-    full node potential [u.(i).(j)] in volts including boundary values.
-    Instrumented: bumps [stack2d.solves] and the [stack2d.solve] timer in
-    {!Obs.global} (a direct factorized solve, so there is no iteration
-    metric; see docs/OBS.md). *)
+    full node potential [u.(i).(j)] in volts including boundary values,
+    by a factorized banded solve over the whole grid. *)
+
+val plane_solve : t -> bc:bc -> sheet_charge:float array -> float array
+(** [plane_solve t ~bc ~sheet_charge] is
+    [plane_potential t (solve t ~bc ~sheet_charge)] (equal to rounding)
+    from the precomputed Green's matrix: O((nx-2)²) work, no banded
+    solve.  Instrumented: bumps [stack2d.solves] and the [stack2d.solve]
+    timer in {!Obs.global} (see docs/OBS.md). *)
+
+val green_diag : t -> float array
+(** Diagonal of the sheet-row Green's matrix: the potential (V) at
+    interior x-node [i+1] of the sheet row per unit sheet density (C/m²)
+    placed under that node alone (length [nx-2]).  Negative: u is minus
+    the electrostatic potential. *)
 
 val plane_potential : t -> float array array -> float array
 (** Potential along the sheet row at the interior x nodes (length

@@ -96,6 +96,23 @@ let test_gap_width_scaling () =
   in
   Alcotest.(check bool) "monotone decreasing" true (decreasing gaps)
 
+(* Gaps of the Jacobi eigensolver the Householder/QL one replaced, to
+   the last printed digit; the two agree to ~1e-13 eV. *)
+let test_gap_reference_values () =
+  List.iter
+    (fun (n, expected) ->
+      approx ~eps:1e-12 (Printf.sprintf "gap N=%d" n) expected (Bands.gap_of_index n))
+    [ (9, 0.78664522618043742); (12, 0.60700897449763258); (15, 0.49412650096725025) ]
+
+(* The gap lookup and the mode-space reduction share one band structure. *)
+let test_band_memo_shared () =
+  let b = Bands.of_index 12 in
+  Alcotest.(check bool) "memoized" true (b == Bands.of_index 12);
+  Alcotest.(check bool) "gap from the memo" true
+    (Float.equal (Bands.gap_of_index 12) (Bands.band_gap b));
+  Alcotest.(check bool) "mode space from the memo" true
+    (Float.equal (Modespace.reduce 12).Modespace.gap (Bands.band_gap b))
+
 let test_particle_hole_symmetry () =
   let b = Bands.compute ~nk:9 (Tight_binding.make 9) in
   Array.iter
@@ -136,6 +153,8 @@ let suite =
     Alcotest.test_case "families" `Quick test_family;
     Alcotest.test_case "bloch hermitian" `Quick test_bloch_hermitian;
     Alcotest.test_case "h00 symmetric" `Quick test_h00_symmetric;
+    Alcotest.test_case "gap reference values" `Quick test_gap_reference_values;
+    Alcotest.test_case "band memo shared" `Quick test_band_memo_shared;
     Alcotest.test_case "gap families" `Quick test_gap_families;
     Alcotest.test_case "gap width scaling" `Quick test_gap_width_scaling;
     Alcotest.test_case "particle-hole symmetry" `Quick test_particle_hole_symmetry;

@@ -13,6 +13,9 @@ let flat_chain ?(n = 30) ?(t1 = 1.6) ?(t2 = 1.3) ?(onsite = 0.) () =
   fun e ->
     { Rgf.onsite = chain_onsite; hopping; sigma_l = sigma e; sigma_r = sigma e }
 
+(* One-mode chain set for the multi-mode charge integration. *)
+let modes1 chain e = [| chain e |]
+
 let test_dimer_surface_retarded () =
   (* The retarded surface GF must have non-positive imaginary part
      (non-negative DOS) at every energy. *)
@@ -169,7 +172,7 @@ let test_charge_neutrality_at_half_filling () =
   let egrid = Observables.energy_grid ~lo:(-3.4) ~hi:3.4 ~de:0.005 in
   let eq = { Observables.mu_s = 0.; mu_d = 0.; kt = 0.0259 } in
   let midgap = (chain 0.).Rgf.onsite in
-  let q = Observables.site_charge ~bias:eq ~egrid ~midgap chain in
+  let q = Observables.site_charge ~bias:eq ~egrid ~midgap (modes1 chain) in
   Array.iteri
     (fun i qi ->
       Alcotest.(check bool)
@@ -183,10 +186,10 @@ let test_charge_sign_follows_mu () =
   let egrid = Observables.energy_grid ~lo:(-3.6) ~hi:3.6 ~de:0.005 in
   let midgap = (chain 0.).Rgf.onsite in
   let electron_bias = { Observables.mu_s = 0.8; mu_d = 0.8; kt = 0.0259 } in
-  let q_e = Observables.site_charge ~bias:electron_bias ~egrid ~midgap chain in
+  let q_e = Observables.site_charge ~bias:electron_bias ~egrid ~midgap (modes1 chain) in
   Alcotest.(check bool) "electrons negative" true (Vec.sum q_e < -0.1 *. Const.q);
   let hole_bias = { Observables.mu_s = -0.8; mu_d = -0.8; kt = 0.0259 } in
-  let q_h = Observables.site_charge ~bias:hole_bias ~egrid ~midgap chain in
+  let q_h = Observables.site_charge ~bias:hole_bias ~egrid ~midgap (modes1 chain) in
   Alcotest.(check bool) "holes positive" true (Vec.sum q_h > 0.1 *. Const.q)
 
 let test_sancho_rubio_agrees_with_dimer () =
@@ -239,15 +242,18 @@ let test_site_charge_parallel_exact () =
   let egrid = Observables.energy_grid ~lo:(-3.4) ~hi:3.4 ~de:0.01 in
   let midgap = (chain 0.).Rgf.onsite in
   let q_seq =
-    Observables.site_charge ~parallel:false ~bias ~egrid ~midgap chain
+    Observables.site_charge ~parallel:false ~bias ~egrid ~midgap (modes1 chain)
   in
-  let q_par = Observables.site_charge ~parallel:true ~bias ~egrid ~midgap chain in
+  let q_par =
+    Observables.site_charge ~parallel:true ~bias ~egrid ~midgap (modes1 chain)
+  in
   exact_array "site_charge parallel vs sequential" q_seq q_par;
   List.iter
     (fun d ->
       with_env "GNRFET_DOMAINS" (string_of_int d) (fun () ->
           let q =
-            Observables.site_charge ~parallel:true ~bias ~egrid ~midgap chain
+            Observables.site_charge ~parallel:true ~bias ~egrid ~midgap
+              (modes1 chain)
           in
           exact_array (Printf.sprintf "site_charge GNRFET_DOMAINS=%d" d) q_seq q))
     [ 1; 3; 7 ]
@@ -273,49 +279,150 @@ let test_transmission_spectrum_parallel_exact () =
       let t_par = Observables.transmission_spectrum ~parallel:true ~egrid chain in
       exact_array "transmission_spectrum parallel vs sequential" t_seq t_par)
 
+(* A dimer chain with site-dependent onsite energies (a potential
+   barrier) so that no two sites, modes or directions are alike. *)
+let barrier_chain ~n ~t1 ~t2 ~sigma =
+  let onsite =
+    Array.init n (fun i -> 0.3 *. sin (float_of_int (i + 1) *. 0.7))
+  in
+  let hopping = Array.init (n - 1) (fun i -> if i mod 2 = 0 then t1 else t2) in
+  fun e -> { Rgf.onsite; hopping; sigma_l = sigma e; sigma_r = sigma e }
+
+let dimer_sigma ~t1 ~t2 e =
+  let gs = Self_energy.dimer_surface ~t1 ~t2 ~onsite:0. e in
+  Complex.mul { Complex.re = t2 *. t2; im = 0. } gs
+
+(* The fused kernel must reproduce the one-chain oracle per mode and per
+   site bit for bit: 1-3 modes, the two-site minimum, odd lengths, and
+   energy-dependent (Sancho-like dimer) and wide-band self-energies. *)
 let test_spectra_into_matches_spectra () =
-  let chain = flat_chain ~n:14 () in
   let ws = Rgf.workspace () in
+  let params = [| (1.6, 1.3); (2.1, 0.9); (1.2, 1.7) |] in
   List.iter
-    (fun e ->
-      let c = chain e in
-      let s = Rgf.spectra c e in
-      let t_ws = Rgf.spectra_into ws c e in
-      Alcotest.(check bool) "t_coh bit-for-bit" true (t_ws = s.Rgf.t_coh);
-      let a1 = Rgf.a1 ws and a2 = Rgf.a2 ws in
-      Array.iteri
-        (fun i v ->
-          Alcotest.(check bool) (Printf.sprintf "a1 %d" i) true (a1.(i) = v))
-        s.Rgf.a1;
-      Array.iteri
-        (fun i v ->
-          Alcotest.(check bool) (Printf.sprintf "a2 %d" i) true (a2.(i) = v))
-        s.Rgf.a2;
-      Alcotest.(check bool)
-        "transmission_into bit-for-bit" true
-        (Rgf.transmission_into ws c e = Rgf.transmission c e))
-    [ -1.2; 0.; 0.45; 0.9; 1.7 ]
+    (fun (n, nm, wide) ->
+      let modes =
+        Array.init nm (fun m ->
+            let t1, t2 = params.(m) in
+            let sigma =
+              if wide then fun _ -> { Complex.re = 0.; im = -0.5 *. float_of_int (m + 1) }
+              else dimer_sigma ~t1 ~t2
+            in
+            barrier_chain ~n ~t1 ~t2 ~sigma)
+      in
+      List.iter
+        (fun e ->
+          let chains = Array.map (fun c -> c e) modes in
+          Rgf.spectra_into ws chains e;
+          let a1 = Rgf.a1 ws and a2 = Rgf.a2 ws in
+          Array.iteri
+            (fun m c ->
+              let s = Rgf.spectra c e in
+              for i = 0 to n - 1 do
+                let at = Printf.sprintf "n=%d modes=%d e=%g m=%d i=%d" n nm e m i in
+                Alcotest.(check bool) (at ^ " a1") true
+                  (Float.equal a1.((m * n) + i) s.Rgf.a1.(i));
+                Alcotest.(check bool) (at ^ " a2") true
+                  (Float.equal a2.((m * n) + i) s.Rgf.a2.(i))
+              done)
+            chains)
+        [ -1.2; 0.; 0.45; 0.9; 1.7 ])
+    [ (2, 1, false); (2, 3, true); (7, 2, false); (14, 1, true); (15, 3, false);
+      (30, 2, true) ]
 
 let test_workspace_grows_and_revalidates () =
   let ws = Rgf.workspace ~hint:4 () in
-  (* Grow through chains of different lengths, interleaved: the cached
-     validation must track the chain identity, not just accept reuse. *)
-  let small = flat_chain ~n:6 () 0.5 in
-  let big = flat_chain ~n:40 () 0.5 in
-  let t_small = Rgf.spectra_into ws small 0.5 in
-  let t_big = Rgf.spectra_into ws big 0.5 in
-  let t_small' = Rgf.spectra_into ws small 0.5 in
-  Alcotest.(check bool) "small chain stable across growth" true
-    (t_small = t_small');
-  approx ~eps:1e-9 "big equals fresh spectra" (Rgf.spectra big 0.5).Rgf.t_coh
-    t_big;
-  (* Malformed chains still fail validation through the workspace path. *)
+  (* Grow through chain sets of different sizes, interleaved: the cached
+     validation must track the array identity, not just accept reuse. *)
+  let small = [| flat_chain ~n:6 () 0.5 |] in
+  let big = [| flat_chain ~n:40 () 0.5; flat_chain ~n:40 ~t1:2. () 0.5 |] in
+  let a1_small () = Array.sub (Rgf.a1 ws) 0 6 in
+  Rgf.spectra_into ws small 0.5;
+  let a_small = a1_small () in
+  Rgf.spectra_into ws big 0.5;
+  let a_big = Array.sub (Rgf.a2 ws) 40 40 in
+  Rgf.spectra_into ws small 0.5;
+  exact_array "small chain stable across growth" a_small (a1_small ());
+  exact_array "big equals fresh spectra" (Rgf.spectra big.(1) 0.5).Rgf.a2 a_big;
+  (* Malformed chain sets still fail validation through the workspace. *)
   let bad =
     { Rgf.onsite = [| 0.; 0.; 0. |]; hopping = [| 1. |];
       sigma_l = Complex.zero; sigma_r = Complex.zero }
   in
   check_raises_invalid "hopping length mismatch" (fun () ->
-      ignore (Rgf.spectra_into ws bad 0.))
+      Rgf.spectra_into ws [| bad |] 0.);
+  check_raises_invalid "modes of different lengths" (fun () ->
+      Rgf.spectra_into ws [| small.(0); big.(0) |] 0.);
+  check_raises_invalid "no modes" (fun () -> Rgf.spectra_into ws [||] 0.)
+
+(* The one-mode-per-call charge integration as it stood before the modes
+   were fused, written out: per mode, a chunked trapezoid over the
+   allocating oracle with per-chunk electron/hole partials combined in
+   chunk order, then the per-mode net charges summed in mode order. *)
+let site_charge_per_mode ~bias ~egrid ~midgap modes =
+  let { Observables.mu_s; mu_d; kt } = bias in
+  let n = Array.length midgap in
+  let one_mode chain_at =
+    let sample k =
+      let e = egrid.(k) in
+      let s = Rgf.spectra ~eta:1.5e-3 (chain_at e) e in
+      let fs = Fermi.occupation ~mu:mu_s ~kt e in
+      let fd = Fermi.occupation ~mu:mu_d ~kt e in
+      Array.init n (fun i ->
+          if e >= midgap.(i) then (s.Rgf.a1.(i) *. fs) +. (s.Rgf.a2.(i) *. fd)
+          else -.((s.Rgf.a1.(i) *. (1. -. fs)) +. (s.Rgf.a2.(i) *. (1. -. fd))))
+    in
+    let electrons, holes =
+      Parallel.map_reduce ~domains:1 ~n:(Array.length egrid - 1)
+        ~worker:(fun _ -> ())
+        ~body:(fun () ~lo ~hi ->
+          let electrons = Array.make n 0. and holes = Array.make n 0. in
+          let prev = ref (sample lo) in
+          for k = lo to hi - 1 do
+            let cur = sample (k + 1) in
+            let h = 0.5 *. (egrid.(k + 1) -. egrid.(k)) in
+            for i = 0 to n - 1 do
+              let v = h *. (!prev.(i) +. cur.(i)) in
+              if v >= 0. then electrons.(i) <- electrons.(i) +. v
+              else holes.(i) <- holes.(i) -. v
+            done;
+            prev := cur
+          done;
+          (electrons, holes))
+        ~combine:(fun (ea, ha) (eb, hb) ->
+          (Array.mapi (fun i x -> x +. eb.(i)) ea, Array.mapi (fun i x -> x +. hb.(i)) ha))
+        (Array.make n 0., Array.make n 0.)
+    in
+    let scale = 2. *. Const.q /. (2. *. Float.pi) in
+    Array.init n (fun i -> -.scale *. (electrons.(i) -. holes.(i)))
+  in
+  let total = Array.make n 0. in
+  Array.iter
+    (fun chain_at ->
+      let q = one_mode chain_at in
+      for i = 0 to n - 1 do
+        total.(i) <- total.(i) +. q.(i)
+      done)
+    modes;
+  total
+
+let test_site_charge_modes_match_per_mode () =
+  let n = 21 in
+  let modes =
+    [| barrier_chain ~n ~t1:1.6 ~t2:1.3 ~sigma:(dimer_sigma ~t1:1.6 ~t2:1.3);
+       barrier_chain ~n ~t1:2.1 ~t2:0.9 ~sigma:(dimer_sigma ~t1:2.1 ~t2:0.9) |]
+  in
+  let egrid = Observables.energy_grid ~lo:(-2.5) ~hi:2.5 ~de:0.01 in
+  let midgap = (modes.(0) 0.).Rgf.onsite in
+  let bias = { Observables.mu_s = 0.2; mu_d = -0.3; kt = 0.0259 } in
+  let expected = site_charge_per_mode ~bias ~egrid ~midgap modes in
+  let chains_at e = Array.map (fun c -> c e) modes in
+  exact_array "two-mode site_charge vs per-mode loop" expected
+    (Observables.site_charge ~eta:1.5e-3 ~parallel:false ~bias ~egrid ~midgap
+       chains_at);
+  with_env "GNRFET_DOMAINS" "3" (fun () ->
+      exact_array "two-mode site_charge, 3 domains" expected
+        (Observables.site_charge ~eta:1.5e-3 ~parallel:true ~bias ~egrid ~midgap
+           chains_at))
 
 let test_energy_grid () =
   let g = Observables.energy_grid ~lo:(-1.) ~hi:1. ~de:0.1 in
@@ -347,6 +454,8 @@ let suite =
       test_transmission_spectrum_parallel_exact;
     Alcotest.test_case "spectra_into matches spectra" `Quick
       test_spectra_into_matches_spectra;
+    Alcotest.test_case "site_charge modes match per-mode loop" `Quick
+      test_site_charge_modes_match_per_mode;
     Alcotest.test_case "workspace growth + validation" `Quick
       test_workspace_grows_and_revalidates;
   ]

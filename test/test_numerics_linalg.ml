@@ -91,13 +91,45 @@ let test_cmatrix_adjoint () =
 let test_eigen_known () =
   (* [[2,1],[1,2]] has eigenvalues 1 and 3. *)
   let a = Matrix.of_arrays [| [| 2.; 1. |]; [| 1.; 2. |] |] in
-  let values, vectors = Eigen.symmetric a in
+  let values = Eigen.symmetric_values a in
   approx ~eps:1e-10 "lambda1" 1. values.(0);
-  approx ~eps:1e-10 "lambda2" 3. values.(1);
-  (* Check A v = lambda v for the first column. *)
-  let v = Array.init 2 (fun i -> Matrix.get vectors i 0) in
-  let av = Matrix.mul_vec a v in
-  approx ~eps:1e-9 "eigvec residual" 0. (Vec.norm_inf (Vec.sub av (Vec.scale values.(0) v)))
+  approx ~eps:1e-10 "lambda2" 3. values.(1)
+
+(* The n x n tridiagonal Toeplitz matrix with zero diagonal and unit
+   couplings has the closed-form spectrum 2 cos(k pi / (n+1)), k = 1..n;
+   unit-modulus complex couplings e^{i theta_k} leave it unchanged.  The
+   matrices are scrambled by a permutation so the Householder reduction
+   has real work to do. *)
+let test_eigen_toeplitz_closed_form () =
+  List.iter
+    (fun n ->
+      let expected =
+        Array.init n (fun k ->
+            2. *. cos (float_of_int (n - k) *. Float.pi /. float_of_int (n + 1)))
+      in
+      let perm = Array.init n (fun i -> (i * 7 + 3) mod n) in
+      let perm = if n mod 7 = 0 then Array.init n (fun i -> i) else perm in
+      let coupled i j = abs (perm.(i) - perm.(j)) = 1 in
+      let sym = Matrix.init n n (fun i j -> if coupled i j then 1. else 0.) in
+      let herm =
+        Cmatrix.init n n (fun i j ->
+            if coupled i j then begin
+              let lo = min perm.(i) perm.(j) in
+              let theta = 0.37 *. float_of_int (lo + 1) in
+              let s = if perm.(i) < perm.(j) then 1. else -1. in
+              { Complex.re = cos theta; im = s *. sin theta }
+            end
+            else Complex.zero)
+      in
+      let check label values =
+        Array.iteri
+          (fun k v ->
+            approx ~eps:1e-12 (Printf.sprintf "%s n=%d k=%d" label n k) v values.(k))
+          expected
+      in
+      check "symmetric" (Eigen.symmetric_values sym);
+      check "hermitian" (Eigen.hermitian_values herm))
+    [ 1; 2; 3; 8; 24; 49 ]
 
 let test_eigen_trace () =
   let a = diag_dominant 7 in
@@ -113,11 +145,7 @@ let test_eigen_hermitian () =
   (* [[1, i],[-i, 1]] has eigenvalues 0 and 2. *)
   let h =
     Cmatrix.init 2 2 (fun i j ->
-        match (i, j) with
-        | 0, 0 | 1, 1 -> cx 1. 0.
-        | 0, 1 -> cx 0. 1.
-        | 1, 0 -> cx 0. (-1.)
-        | _ -> assert false)
+        if i = j then cx 1. 0. else if i = 0 then cx 0. 1. else cx 0. (-1.))
   in
   let values = Eigen.hermitian_values h in
   approx ~eps:1e-9 "lambda1" 0. values.(0);
@@ -253,6 +281,7 @@ let suite =
     Alcotest.test_case "cmatrix adjoint" `Quick test_cmatrix_adjoint;
     Alcotest.test_case "eigen 2x2" `Quick test_eigen_known;
     Alcotest.test_case "eigen trace" `Quick test_eigen_trace;
+    Alcotest.test_case "eigen Toeplitz closed form" `Quick test_eigen_toeplitz_closed_form;
     Alcotest.test_case "eigen hermitian" `Quick test_eigen_hermitian;
     Alcotest.test_case "tridiag real" `Quick test_tridiag;
     Alcotest.test_case "tridiag complex" `Quick test_tridiag_complex;

@@ -89,6 +89,63 @@ let test_grid_validation () =
         ~zs:[| 0.; 1.; 2. |]
         ~eps_r:(fun _ _ -> 1.) ~sheet_row:0 ())
 
+(* The Green's-matrix sheet-row solve against the full-grid banded
+   solve, on both contact styles, random boundary values and random
+   sheet charge (realistic magnitude, both signs). *)
+let test_plane_solve_matches_full_grid () =
+  List.iter
+    (fun (style, label) ->
+      let t = stack ~style ~nx:33 ~nz:13 () in
+      let n = Stack2d.nx t - 2 in
+      for trial = 1 to 5 do
+        let r lo hi = Rng.uniform rng lo hi in
+        let bc =
+          { Stack2d.left = r (-0.5) 0.5; right = r (-0.5) 0.5; bottom = r (-1.) 1.;
+            top = r (-1.) 1. }
+        in
+        let sheet_charge = Array.init n (fun _ -> r (-2e-2) 2e-2) in
+        let reference = Stack2d.plane_potential t (Stack2d.solve t ~bc ~sheet_charge) in
+        let fast = Stack2d.plane_solve t ~bc ~sheet_charge in
+        let scale = Vec.norm_inf reference in
+        Alcotest.(check int) "length" n (Array.length fast);
+        Alcotest.(check bool)
+          (Printf.sprintf "%s trial %d: plane_solve within 1e-12 relative" label trial)
+          true
+          (Vec.max_abs_diff reference fast <= 1e-12 *. scale)
+      done)
+    [ (Stack2d.Plane, "plane"); (Stack2d.Point, "point") ]
+
+(* The SCF preconditioner's diagonal response |G_ii| / (dx w_eff), on
+   the nominal device's stack, against the finite-difference probe it
+   replaced: 1e-21 C placed on one site at a time. *)
+let test_green_diag_matches_probe () =
+  let p = Params.default () in
+  let sites = Scf.site_positions p in
+  let xs = Array.concat [ [| 0. |]; sites; [| p.Params.channel_length |] ] in
+  let tox = p.Params.oxide_thickness in
+  let zs = Vec.linspace (-.tox) tox 13 in
+  let t =
+    Stack2d.make ~contact_style:p.Params.contact_style ~xs ~zs
+      ~eps_r:(fun _ _ -> p.Params.oxide_eps_r) ~sheet_row:6 ()
+  in
+  let n = Array.length sites in
+  let scale = Modespace.site_spacing *. Params.effective_width p in
+  let bc = { Stack2d.left = 0.; right = -0.5; bottom = -0.7; top = -0.7 } in
+  let plane q =
+    Stack2d.plane_potential t
+      (Stack2d.solve t ~bc ~sheet_charge:(Array.map (fun x -> x /. scale) q))
+  in
+  let zero = plane (Array.make n 0.) in
+  let probe = 1e-21 in
+  let diag = Stack2d.green_diag t in
+  for i = 0 to n - 1 do
+    let q = Array.make n 0. in
+    q.(i) <- probe;
+    let fd = Float.abs ((plane q).(i) -. zero.(i)) /. probe in
+    approx_rel ~rel:1e-9 (Printf.sprintf "response site %d" i) fd
+      (Float.abs diag.(i) /. scale)
+  done
+
 let test_poisson3d_zero_charge () =
   let t = Poisson3d.make ~nx:7 ~ny:7 ~nz:7 ~spacing:1e-9 ~eps_r:(fun _ _ _ -> 3.9) in
   let u = Poisson3d.solve ~boundary:0.25 t ~charges:[] in
@@ -150,6 +207,8 @@ let suite =
     Alcotest.test_case "superposition" `Quick test_superposition;
     Alcotest.test_case "point contacts" `Quick test_point_contact_floats_oxide;
     Alcotest.test_case "grid validation" `Quick test_grid_validation;
+    Alcotest.test_case "plane solve vs full grid" `Quick test_plane_solve_matches_full_grid;
+    Alcotest.test_case "green diagonal vs probe" `Quick test_green_diag_matches_probe;
     Alcotest.test_case "poisson3d zero charge" `Quick test_poisson3d_zero_charge;
     Alcotest.test_case "poisson3d point charge" `Quick test_poisson3d_point_charge;
     Alcotest.test_case "impurity signs" `Quick test_impurity_signs;
