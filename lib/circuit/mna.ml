@@ -56,61 +56,75 @@ let expand ?(vscale = 1.) c x time =
 type cap_branch = {
   ca : int;
   cb : int;
-  cvalue : float array -> float; (* capacitance as a function of node voltages *)
   mutable v_prev : float;
   mutable i_prev : float;
   mutable c_step : float; (* capacitance frozen at the start of the step *)
 }
 
-let cap_branches c =
-  let of_linear (a, b, farads) =
-    { ca = a; cb = b; cvalue = (fun _ -> farads); v_prev = 0.; i_prev = 0.; c_step = farads }
-  in
-  let of_fet (g, d, s, (m : Fet_model.t)) =
-    let bias v = (v.(g) -. v.(s), v.(d) -. v.(s)) in
-    [
-      {
-        ca = g;
-        cb = s;
-        cvalue = (fun v -> let vgs, vds = bias v in m.cgs ~vgs ~vds);
-        v_prev = 0.;
-        i_prev = 0.;
-        c_step = 0.;
-      };
-      {
-        ca = g;
-        cb = d;
-        cvalue = (fun v -> let vgs, vds = bias v in m.cgd ~vgs ~vds);
-        v_prev = 0.;
-        i_prev = 0.;
-        c_step = 0.;
-      };
-    ]
-  in
-  List.map of_linear c.linear_caps @ List.concat_map of_fet c.fets
+(* Where branch capacitances come from: a fixed value, or both intrinsic
+   capacitances of one FET, read with one [caps] call. *)
+type cap_source =
+  | Linear of cap_branch * float
+  | Fet_caps of {
+      g : int;
+      d : int;
+      s : int;
+      model : Fet_model.t;
+      gs : cap_branch;
+      gd : cap_branch;
+    }
+
+let branch a b c_step = { ca = a; cb = b; v_prev = 0.; i_prev = 0.; c_step }
+
+(* Linear capacitors first, then each FET's (gate-source, gate-drain)
+   pair: [cap_branches] lists the branches in the same order. *)
+let cap_sources c =
+  List.map (fun (a, b, farads) -> Linear (branch a b farads, farads)) c.linear_caps
+  @ List.map
+      (fun (g, d, s, model) ->
+        Fet_caps { g; d; s; model; gs = branch g s 0.; gd = branch g d 0. })
+      c.fets
+
+let cap_branches sources =
+  List.concat_map
+    (function Linear (br, _) -> [ br ] | Fet_caps { gs; gd; _ } -> [ gs; gd ])
+    sources
+
+(* [f br c] for every branch of [sources] with its capacitance [c] at node
+   voltages [v]; [buf] is the three-slot model buffer. *)
+let iter_caps sources buf v f =
+  List.iter
+    (function
+      | Linear (br, farads) -> f br farads
+      | Fet_caps { g; d; s; model; gs; gd } ->
+        model.Fet_model.caps ~vgs:(v.(g) -. v.(s)) ~vds:(v.(d) -. v.(s)) buf;
+        f gs buf.(0);
+        f gd buf.(1))
+    sources
 
 (* Newton assembly: residual f (KCL, currents leaving each unknown node)
-   and Jacobian J. [dyn] carries the companion-model terms when in a
-   transient step. *)
+   and, when [jac] is given, the Jacobian stamped into it (the FET rows
+   from the model partials).  [dyn] carries the companion-model terms
+   when in a transient step. *)
 type dyn = { dt : float; branches : cap_branch list }
 
-let fd_step = 1e-6
-
-let assemble ?vscale c x time gmin dyn =
+let assemble ?vscale c x time gmin dyn jac =
   let v = expand ?vscale c x time in
   let f = Array.make c.n_unknowns 0. in
-  let j = Matrix.create (max 1 c.n_unknowns) (max 1 c.n_unknowns) in
   let add_current node i =
     let k = c.unknown_of.(node) in
     if k >= 0 then f.(k) <- f.(k) +. i
   in
   let add_conductance node other g =
-    let k = c.unknown_of.(node) in
-    if k >= 0 then begin
-      Matrix.add_to j k k g;
-      let k' = c.unknown_of.(other) in
-      if k' >= 0 then Matrix.add_to j k k' (-.g)
-    end
+    match jac with
+    | None -> ()
+    | Some j ->
+      let k = c.unknown_of.(node) in
+      if k >= 0 then begin
+        Matrix.add_to j k k g;
+        let k' = c.unknown_of.(other) in
+        if k' >= 0 then Matrix.add_to j k k' (-.g)
+      end
   in
   (* gmin to ground stabilizes floating regions during homotopy. *)
   if gmin > 0. then
@@ -118,7 +132,7 @@ let assemble ?vscale c x time gmin dyn =
       let k = c.unknown_of.(node) in
       if k >= 0 then begin
         f.(k) <- f.(k) +. (gmin *. v.(node));
-        Matrix.add_to j k k gmin
+        Option.iter (fun j -> Matrix.add_to j k k gmin) jac
       end
     done;
   List.iter
@@ -130,30 +144,31 @@ let assemble ?vscale c x time gmin dyn =
       add_conductance a b g;
       add_conductance b a g)
     c.resistors;
+  let buf = Array.make 3 0. in
   List.iter
     (fun (gn, dn, sn, (m : Fet_model.t)) ->
-      let id vg vd vs = m.id ~vgs:(vg -. vs) ~vds:(vd -. vs) in
-      let i0 = id v.(gn) v.(dn) v.(sn) in
+      m.current ~vgs:(v.(gn) -. v.(sn)) ~vds:(v.(dn) -. v.(sn)) buf;
+      let i0 = buf.(0) in
       add_current dn i0;
       add_current sn (-.i0);
-      (* Numeric partials of the drain current. *)
-      let gg = (id (v.(gn) +. fd_step) v.(dn) v.(sn) -. i0) /. fd_step in
-      let gd = (id v.(gn) (v.(dn) +. fd_step) v.(sn) -. i0) /. fd_step in
-      let gs = (id v.(gn) v.(dn) (v.(sn) +. fd_step) -. i0) /. fd_step in
-      let stamp_row node sign =
-        let k = c.unknown_of.(node) in
-        if k >= 0 then begin
-          let put terminal gpart =
-            let k' = c.unknown_of.(terminal) in
-            if k' >= 0 then Matrix.add_to j k k' (sign *. gpart)
-          in
-          put gn gg;
-          put dn gd;
-          put sn gs
-        end
-      in
-      stamp_row dn 1.;
-      stamp_row sn (-1.))
+      match jac with
+      | None -> ()
+      | Some j ->
+        let gm = buf.(1) and gds = buf.(2) in
+        let stamp_row node sign =
+          let k = c.unknown_of.(node) in
+          if k >= 0 then begin
+            let put terminal gpart =
+              let k' = c.unknown_of.(terminal) in
+              if k' >= 0 then Matrix.add_to j k k' (sign *. gpart)
+            in
+            put gn gm;
+            put dn gds;
+            put sn (-.(gm +. gds))
+          end
+        in
+        stamp_row dn 1.;
+        stamp_row sn (-1.))
     c.fets;
   (match dyn with
   | None -> ()
@@ -169,7 +184,7 @@ let assemble ?vscale c x time gmin dyn =
         add_conductance br.ca br.cb gc;
         add_conductance br.cb br.ca gc)
       branches);
-  (f, j)
+  f
 
 let debug = Sys.getenv_opt "GNRFET_MNA_DEBUG" <> None
 
@@ -192,8 +207,7 @@ let fault_newton = Fault.site "mna.newton"
 let has_nan a = Array.exists (fun v -> not (Float.is_finite v)) a
 
 let residual_norm ?vscale c x time gmin dyn =
-  let f, _ = assemble ?vscale c x time gmin dyn in
-  Vec.norm_inf f
+  Vec.norm_inf (assemble ?vscale c x time gmin dyn None)
 
 let newton ?(max_iter = 80) ?(v_limit = 0.3) ?vscale c x0 time gmin dyn =
   let x = ref (Array.copy x0) in
@@ -202,7 +216,8 @@ let newton ?(max_iter = 80) ?(v_limit = 0.3) ?vscale c x0 time gmin dyn =
   else begin
     let rec loop it =
       Obs.Counter.incr obs_newton_iters;
-      let f, j = assemble ?vscale c !x time gmin dyn in
+      let j = Matrix.create (max 1 c.n_unknowns) (max 1 c.n_unknowns) in
+      let f = assemble ?vscale c !x time gmin dyn (Some j) in
       let fnorm = Vec.norm_inf f in
       if Float.is_nan fnorm then begin
         if debug then Printf.eprintf "newton: NaN residual at it=%d t=%g\n%!" it time;
@@ -343,7 +358,9 @@ let transient ?x0 ?(dt_div = 4) net ~t_stop ~dt =
     | Some _ -> invalid_arg "Mna.transient: x0 must be a full node vector"
     | None -> solve_dc ~time:0. net
   in
-  let branches = cap_branches c in
+  let sources = cap_sources c in
+  let branches = cap_branches sources in
+  let buf = Array.make 3 0. in
   List.iter
     (fun br ->
       br.v_prev <- v0.(br.ca) -. v0.(br.cb);
@@ -364,7 +381,7 @@ let transient ?x0 ?(dt_div = 4) net ~t_stop ~dt =
   done;
   let advance ?(gmin = 0.) x_in v_start t_next h =
     (* Freeze table capacitances at start-of-step bias. *)
-    List.iter (fun br -> br.c_step <- Float.max 1e-21 (br.cvalue v_start)) branches;
+    iter_caps sources buf v_start (fun br cap -> br.c_step <- Float.max 1e-21 cap);
     match newton c x_in t_next gmin (Some { dt = h; branches }) with
     | Some x' ->
       let v' = expand c x' t_next in
@@ -445,7 +462,7 @@ let waveform_to_csv ?nodes wf =
     wf.times;
   Buffer.contents buf
 
-let static_current c node v =
+let static_current c buf node v =
   let acc = ref 0. in
   List.iter
     (fun (a, b, ohms) ->
@@ -454,9 +471,10 @@ let static_current c node v =
     c.resistors;
   List.iter
     (fun (g, d, s, (m : Fet_model.t)) ->
-      let i = m.id ~vgs:(v.(g) -. v.(s)) ~vds:(v.(d) -. v.(s)) in
-      if d = node then acc := !acc +. i
-      else if s = node then acc := !acc -. i)
+      if d = node || s = node then begin
+        m.current ~vgs:(v.(g) -. v.(s)) ~vds:(v.(d) -. v.(s)) buf;
+        if d = node then acc := !acc +. buf.(0) else acc := !acc -. buf.(0)
+      end)
     c.fets;
   !acc
 
@@ -464,33 +482,39 @@ let dc_current net state node =
   let c = compile net in
   if not (List.mem_assoc node c.sources) then
     invalid_arg "Mna.dc_current: node is not driven";
-  static_current c node state
+  static_current c (Array.make 3 0.) node state
 
 let source_current net wf node =
   let c = compile net in
   if not (List.mem_assoc node c.sources) then
     invalid_arg "Mna.source_current: node is not driven";
   let nk = Array.length wf.times in
-  let static v = static_current c node v in
-  (* Displacement currents via central differences of the branch charge. *)
-  let branches = cap_branches c in
+  let buf = Array.make 3 0. in
+  (* Displacement currents via central differences of the branch charge,
+     over the capacitance sources with a branch incident on [node]. *)
+  let incident br = br.ca = node || br.cb = node in
+  let sources =
+    List.filter
+      (function
+        | Linear (br, _) -> incident br
+        | Fet_caps { gs; gd; _ } -> incident gs || incident gd)
+      (cap_sources c)
+  in
   Array.init nk (fun k ->
       let v = wf.voltages.(k) in
-      let i_static = static v in
+      let i_static = static_current c buf node v in
       let i_disp =
         if k = 0 || k = nk - 1 then 0.
         else begin
           let dtc = wf.times.(k + 1) -. wf.times.(k - 1) in
-          List.fold_left
-            (fun acc br ->
-              if br.ca = node || br.cb = node then begin
+          let acc = ref 0. in
+          iter_caps sources buf v (fun br cap ->
+              if incident br then begin
                 let sign = if br.ca = node then 1. else -1. in
-                let cap = br.cvalue v in
                 let vb k' = wf.voltages.(k').(br.ca) -. wf.voltages.(k').(br.cb) in
-                acc +. (sign *. cap *. (vb (k + 1) -. vb (k - 1)) /. dtc)
-              end
-              else acc)
-            0. branches
+                acc := !acc +. (sign *. cap *. (vb (k + 1) -. vb (k - 1)) /. dtc)
+              end);
+          !acc
         end
       in
       i_static +. i_disp)

@@ -33,17 +33,13 @@ let rec drain_current m ~vgs ~vds =
   end
 
 let fet ~name ?(cgs = 0.) ?(cgd = 0.) m =
-  {
-    Fet_model.name;
-    id = (fun ~vgs ~vds -> drain_current m ~vgs ~vds);
-    cgs = (fun ~vgs:_ ~vds:_ -> cgs);
-    cgd = (fun ~vgs:_ ~vds:_ -> cgd);
-  }
+  Fet_model.of_functions ~name
+    ~id:(fun ~vgs ~vds -> drain_current m ~vgs ~vds)
+    ~cgs:(fun ~vgs:_ ~vds:_ -> cgs)
+    ~cgd:(fun ~vgs:_ ~vds:_ -> cgd)
 
 let pfet ~name ?(cgs = 0.) ?(cgd = 0.) m =
-  {
-    Fet_model.name;
-    id = (fun ~vgs ~vds -> -.drain_current m ~vgs:(-.vgs) ~vds:(-.vds));
-    cgs = (fun ~vgs:_ ~vds:_ -> cgs);
-    cgd = (fun ~vgs:_ ~vds:_ -> cgd);
-  }
+  Fet_model.of_functions ~name
+    ~id:(fun ~vgs ~vds -> -.drain_current m ~vgs:(-.vgs) ~vds:(-.vds))
+    ~cgs:(fun ~vgs:_ ~vds:_ -> cgs)
+    ~cgd:(fun ~vgs:_ ~vds:_ -> cgd)

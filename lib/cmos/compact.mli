@@ -22,7 +22,8 @@ val drain_current : t -> vgs:float -> vds:float -> float
     linear-to-saturation boundaries. *)
 
 val fet : name:string -> ?cgs:float -> ?cgd:float -> t -> Fet_model.t
-(** Wrap as a circuit model with constant intrinsic capacitances. *)
+(** Wrap as a circuit model with constant intrinsic capacitances; the
+    partials come from {!Fet_model.of_functions} (forward differences). *)
 
 val pfet : name:string -> ?cgs:float -> ?cgd:float -> t -> Fet_model.t
 (** Complementary device: [id_p vgs vds = -. id_n (-vgs) (-vds)]. *)

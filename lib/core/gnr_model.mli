@@ -27,7 +27,11 @@ val intrinsic :
 (** Model of a single intrinsic GNR.  [vt_shift] is the gate work-function
     offset (V): positive values shift the I–V left (lower VT), exactly as
     in Fig 2(b).  Negative VDS is handled by source/drain exchange
-    symmetry; the p-type model is the complementary mirror image. *)
+    symmetry; the p-type model is the complementary mirror image.  The
+    table's current and charge interpolants are resolved once, here
+    ({!Iv_table.interps}); each [current] or [caps] call is then one
+    interpolant-cell lookup ({!Interp.grid2_eval_grad}) with the mirror
+    and exchange applied to the partials. *)
 
 val array_fet :
   ?name:string ->
@@ -36,7 +40,10 @@ val array_fet :
   Iv_table.t list ->
   Fet_model.t
 (** Parallel array of per-GNR tables (one entry per GNR, so heterogeneous
-    arrays express single-GNR anomalies). *)
+    arrays express single-GNR anomalies).  Tables are grouped by physical
+    equality and each distinct table is evaluated once, scaled by its
+    multiplicity ({!Fet_model.scale}); the groups are summed in order of
+    first appearance ({!Fet_model.parallel}). *)
 
 val vt_nominal : Iv_table.t -> float
 (** Threshold voltage of the (unshifted) table — memoized; the circuit VT

@@ -9,8 +9,8 @@ type inverter_metrics = {
 
 (* Crude RC estimate used only to size the transient window and step. *)
 let time_scale (pair : Cells.pair) ~fanout ~vdd =
-  let mid m = (m.Fet_model.cgs ~vgs:(vdd /. 2.) ~vds:(vdd /. 2.))
-              +. (m.Fet_model.cgd ~vgs:(vdd /. 2.) ~vds:(vdd /. 2.)) in
+  let mid m = (Fet_model.cgs m ~vgs:(vdd /. 2.) ~vds:(vdd /. 2.))
+              +. (Fet_model.cgd m ~vgs:(vdd /. 2.) ~vds:(vdd /. 2.)) in
   let c_unit =
     mid pair.Cells.nfet +. mid pair.Cells.pfet
     +. (2. *. (pair.Cells.ext.Gnr_model.cgs_e +. pair.Cells.ext.Gnr_model.cgd_e))
@@ -19,13 +19,17 @@ let time_scale (pair : Cells.pair) ~fanout ~vdd =
   let i_on =
     Float.max 1e-12
       (Float.max
-         (Float.abs (pair.Cells.nfet.Fet_model.id ~vgs:vdd ~vds:(vdd /. 2.)))
-         (Float.abs (pair.Cells.pfet.Fet_model.id ~vgs:(-.vdd) ~vds:(-.vdd /. 2.))))
+         (Float.abs (Fet_model.id pair.Cells.nfet ~vgs:vdd ~vds:(vdd /. 2.)))
+         (Float.abs (Fet_model.id pair.Cells.pfet ~vgs:(-.vdd) ~vds:(-.vdd /. 2.))))
   in
   let tau = c_load *. vdd /. i_on in
   (* Contact RC floor. *)
   let rc = (pair.Cells.ext.Gnr_model.rs +. pair.Cells.ext.Gnr_model.rd) *. c_load in
   Float.max 1e-15 (Float.max tau rc)
+
+(* Transient windows tried, each 4x longer than the last, before the
+   measurement gives up. *)
+let max_window_attempts = 4
 
 let rec measure_with_tau ?load ~fanout ~pair ~vdd ~tau ~attempt ~in_level ~out_level () =
   let tr = 2. *. tau in
@@ -60,7 +64,7 @@ let rec measure_with_tau ?load ~fanout ~pair ~vdd ~tau ~attempt ~in_level ~out_l
   match (d_lh, d_hl) with
   | Some tp_lh, Some tp_hl -> Some (bench, wf, tp_lh, tp_hl, t1, t2, t_end)
   | None, _ | _, None ->
-    if attempt >= 3 then None
+    if attempt >= max_window_attempts - 1 then None
     else
       measure_with_tau ?load ~fanout ~pair ~vdd ~tau:(tau *. 4.)
         ~attempt:(attempt + 1) ~in_level ~out_level ()
@@ -87,7 +91,16 @@ let inverter_metrics ?(fanout = 4) ?load ~pair ~vdd () =
   match
     measure_with_tau ?load ~fanout ~pair ~vdd ~tau ~attempt:0 ~in_level ~out_level ()
   with
-  | None -> failwith "Metrics.inverter_metrics: no output transition observed"
+  | None ->
+    Robust_error.raise_
+      (Robust_error.Unrecovered
+         {
+           stage = "metrics.inverter_metrics";
+           attempts = max_window_attempts;
+           detail =
+             Printf.sprintf "no output transition observed (vdd %g V, first tau %g s)"
+               vdd tau;
+         })
   | Some (bench, wf, tp_lh, tp_hl, t1, t2, t_end) ->
     let times = wf.Mna.times in
     let i_vdd = Mna.source_current bench.Cells.net wf bench.Cells.vdd_node in

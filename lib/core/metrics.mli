@@ -17,7 +17,10 @@ val inverter_metrics :
   ?fanout:int -> ?load:Cells.pair -> pair:Cells.pair -> vdd:float -> unit -> inverter_metrics
 (** Characterize a FO4-loaded inverter: static powers from DC operating
     points, delays and switching energy from a two-edge transient (with a
-    self-calibrated time step), SNM from the static VTC. *)
+    self-calibrated time step), SNM from the static VTC.  A cell whose
+    output crosses no threshold in four transient windows, each 4× longer
+    than the last, raises [Robust_error.Error (Unrecovered {stage =
+    "metrics.inverter_metrics"; attempts = 4; _})] (docs/ROBUST.md). *)
 
 val ro_frequency : inverter_metrics -> stages:int -> float
 (** Ring-oscillator frequency implied by the average stage delay,

@@ -38,14 +38,14 @@ let draw rng ~sigma_probability =
 
 (* The sampling loop, separated from the expensive transient-backed
    [evaluate] so the quarantine policy is testable with a cheap stub.
-   A sample whose evaluation fails with a typed solver error (or an
-   injected fault, or a solver [Failure] such as "no output transition")
-   is dropped and counted — in [result.quarantined] and in the
-   [robust.mc.quarantined] obs counter — instead of killing the whole
-   study; the nominal evaluation stays fatal, since without it there is
-   nothing to normalize against.  The random draw happens before the
-   evaluation, so surviving samples see exactly the draw sequence they
-   would in a fault-free run. *)
+   A sample whose evaluation fails with a typed solver error (such as
+   the [Unrecovered] "no output transition" of an inverter measurement),
+   an injected fault or a solver [Failure] is dropped and counted — in
+   [result.quarantined] and in the [robust.mc.quarantined] obs counter —
+   instead of killing the whole study; the nominal evaluation stays
+   fatal, since without it there is nothing to normalize against.  The
+   random draw happens before the evaluation, so surviving samples see
+   exactly the draw sequence they would in a fault-free run. *)
 let run_with ~evaluate ~stages ~samples ~seed ~sigma_probability ~nominal_ids
     () =
   let nominal = evaluate (Array.make stages nominal_ids) in
@@ -82,8 +82,8 @@ let run_with ~evaluate ~stages ~samples ~seed ~sigma_probability ~nominal_ids
    correction weight. *)
 let input_cap (pair : Cells.pair) ~vdd =
   let at (m : Fet_model.t) =
-    m.Fet_model.cgs ~vgs:(vdd /. 2.) ~vds:(vdd /. 2.)
-    +. m.Fet_model.cgd ~vgs:(vdd /. 2.) ~vds:(vdd /. 2.)
+    Fet_model.cgs m ~vgs:(vdd /. 2.) ~vds:(vdd /. 2.)
+    +. Fet_model.cgd m ~vgs:(vdd /. 2.) ~vds:(vdd /. 2.)
   in
   at pair.Cells.nfet +. at pair.Cells.pfet
   +. (2. *. (pair.Cells.ext.Gnr_model.cgs_e +. pair.Cells.ext.Gnr_model.cgd_e))

@@ -151,11 +151,6 @@ let dq_dvg t ~vg ~vd =
   let _, qi = interps t in
   Interp.grid2_dx qi vg vd
 
-let dq_dvd t ~vg ~vd =
-  check_vd vd;
-  let _, qi = interps t in
-  Interp.grid2_dy qi vg vd
-
 let to_csv t =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "vg,vd,id_A,q_C\n";

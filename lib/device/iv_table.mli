@@ -58,6 +58,12 @@ val generate :
     explicitly passed legacy label wins over the corresponding [ctx]
     field ({!Ctx.resolve}, docs/API.md). *)
 
+val interps : t -> Interp.grid2 * Interp.grid2
+(** The (current, charge) bilinear interpolants of [t] over (VG, VD),
+    memoized per table key.  Each call takes a global mutex and hashes
+    the key: circuit models resolve them once, at construction, and read
+    them directly in their hot path. *)
+
 val current_at : t -> vg:float -> vd:float -> float
 (** Bilinear interpolation; requires [vd >= 0] (the circuit layer owns the
     negative-VDS reflection). Clamped at the table edges. *)
@@ -66,9 +72,6 @@ val charge_at : t -> vg:float -> vd:float -> float
 
 val dq_dvg : t -> vg:float -> vd:float -> float
 (** ∂Q/∂VG of the interpolant (for [CG,i = |∂Q/∂VGS|]). *)
-
-val dq_dvd : t -> vg:float -> vd:float -> float
-(** ∂Q/∂VD of the interpolant (for [CGD,i = |∂Q/∂VDS|]). *)
 
 val to_csv : t -> string
 (** Plain CSV dump ("vg,vd,id_A,q_C" rows) for external plotting. *)

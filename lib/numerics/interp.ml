@@ -128,3 +128,20 @@ let grid2_dy g x y =
   let lo = ((1. -. tx) *. g.gv.(i).(j)) +. (tx *. g.gv.(i + 1).(j)) in
   let hi = ((1. -. tx) *. g.gv.(i).(j + 1)) +. (tx *. g.gv.(i + 1).(j + 1)) in
   (hi -. lo) /. hy
+
+(* One cell lookup for the value and both partials, each written exactly
+   as [grid2_eval], [grid2_dx] and [grid2_dy] compute it so the three
+   results are bit-equal to the separate calls. *)
+let grid2_eval_grad g x y out =
+  let i, j, tx, ty = grid2_cell g x y in
+  let v00 = g.gv.(i).(j)
+  and v10 = g.gv.(i + 1).(j)
+  and v01 = g.gv.(i).(j + 1)
+  and v11 = g.gv.(i + 1).(j + 1) in
+  let lo_x = ((1. -. ty) *. v00) +. (ty *. v01) in
+  let hi_x = ((1. -. ty) *. v10) +. (ty *. v11) in
+  out.(0) <- ((1. -. tx) *. lo_x) +. (tx *. hi_x);
+  out.(1) <- (hi_x -. lo_x) /. (g.gx.(i + 1) -. g.gx.(i));
+  let lo_y = ((1. -. tx) *. v00) +. (tx *. v10) in
+  let hi_y = ((1. -. tx) *. v01) +. (tx *. v11) in
+  out.(2) <- (hi_y -. lo_y) /. (g.gy.(j + 1) -. g.gy.(j))

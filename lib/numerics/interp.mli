@@ -37,3 +37,9 @@ val grid2_dx : grid2 -> float -> float -> float
 
 val grid2_dy : grid2 -> float -> float -> float
 (** Partial derivative along the second axis. *)
+
+val grid2_eval_grad : grid2 -> float -> float -> float array -> unit
+(** [grid2_eval_grad g x y out] writes the value and both partials from
+    one cell lookup: [out.(0)], [out.(1)] and [out.(2)] are bit-equal to
+    [grid2_eval], [grid2_dx] and [grid2_dy] at [(x, y)], clamped edges
+    included.  [out] needs at least three slots. *)

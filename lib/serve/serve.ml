@@ -33,6 +33,7 @@ type t = {
   lru_mu : Mutex.t;  (* guards [lru] (Lru.t is not thread-safe) *)
   lru : Iv_table.t Lru.t;
   sf : Iv_table.t Single_flight.t;
+  before_generate : followers:(unit -> int) -> unit;
   queue : (unit -> unit) Work_queue.t;
   workers : Thread.t list;
   m : metrics;
@@ -43,7 +44,7 @@ type t = {
 
 exception Busy
 
-let create ?(config = default_config) () =
+let create ?(config = default_config) ?(before_generate = fun ~followers:_ -> ()) () =
   (* A client that vanishes mid-response must surface as EPIPE on the
      write (counted below), not as a process-killing SIGPIPE.  No-op
      where the signal does not exist. *)
@@ -96,6 +97,7 @@ let create ?(config = default_config) () =
     lru_mu = Mutex.create ();
     lru = Lru.create ~capacity:config.lru_capacity;
     sf = Single_flight.create ();
+    before_generate;
     queue;
     workers;
     m;
@@ -181,7 +183,9 @@ let table_for t ~grid p =
     table
   | None ->
     let outcome =
-      Single_flight.run t.sf key (fun () -> generate_via_queue t ~ctx ~grid p)
+      Single_flight.run t.sf key (fun () ->
+          t.before_generate ~followers:(fun () -> Single_flight.followers t.sf key);
+          generate_via_queue t ~ctx ~grid p)
     in
     if outcome.Single_flight.coalesced then
       Obs.Counter.incr t.m.c_coalesced

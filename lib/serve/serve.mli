@@ -31,11 +31,17 @@ val default_config : config
 
 type t
 
-val create : ?config:config -> unit -> t
+val create :
+  ?config:config -> ?before_generate:(followers:(unit -> int) -> unit) -> unit -> t
 (** Starts the worker threads immediately.  Also ignores SIGPIPE
     process-wide so a client that disconnects mid-response surfaces as
     a counted write failure ([serve.client_disconnects], docs/OBS.md)
-    on that connection's thread instead of killing the process. *)
+    on that connection's thread instead of killing the process.
+    [before_generate] (default: return at once) runs on a single-flight
+    leader's thread before its generation job is queued; [followers ()]
+    counts the requests waiting on that leader so far.  The single-flight
+    test holds the leader in it until every concurrent request has
+    joined, so the coalescing count does not depend on thread timing. *)
 
 val handle_line : t -> string -> string
 (** Evaluate one request line into one response line (no trailing

@@ -1,5 +1,6 @@
 type 'a entry = {
   mutable result : ('a, exn) result option;  (* None while in flight *)
+  mutable followers : int;  (* callers waiting on the leader *)
   done_ : Condition.t;
 }
 
@@ -11,6 +12,10 @@ let create () = { mu = Mutex.create (); inflight = Hashtbl.create 16 }
 
 let in_flight t = Mutex.protect t.mu (fun () -> Hashtbl.length t.inflight)
 
+let followers t key =
+  Mutex.protect t.mu (fun () ->
+      match Hashtbl.find_opt t.inflight key with Some e -> e.followers | None -> 0)
+
 let run t key f =
   Mutex.lock t.mu;
   match Hashtbl.find_opt t.inflight key with
@@ -18,6 +23,7 @@ let run t key f =
     (* Follower: wait for the leader to publish, then share its fate.
        The entry stays valid after the leader removes the key — we hold
        a direct reference. *)
+    entry.followers <- entry.followers + 1;
     let rec await () =
       match entry.result with
       | Some r -> r
@@ -34,7 +40,7 @@ let run t key f =
     (* Leader: publish the entry, compute outside the lock, then
        broadcast.  The key is removed before waking followers so the
        next request after completion starts fresh. *)
-    let entry = { result = None; done_ = Condition.create () } in
+    let entry = { result = None; followers = 0; done_ = Condition.create () } in
     Hashtbl.replace t.inflight key entry;
     Mutex.unlock t.mu;
     let r = match f () with v -> Ok v | exception e -> Error e in

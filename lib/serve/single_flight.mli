@@ -33,3 +33,7 @@ val run : 'a t -> string -> (unit -> 'a) -> 'a outcome
 val in_flight : 'a t -> int
 (** Number of keys currently being computed (for the queue-depth
     metrics). *)
+
+val followers : 'a t -> string -> int
+(** Number of callers currently waiting on the in-flight computation of
+    [key] (0 when none is in flight). *)

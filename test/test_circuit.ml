@@ -5,20 +5,18 @@ open Support
 
 let resistor_fet name r =
   (* A linear "FET": drain current = vds / r regardless of vgs. *)
-  {
-    Fet_model.name;
-    id = (fun ~vgs:_ ~vds -> vds /. r);
-    cgs = (fun ~vgs:_ ~vds:_ -> 0.);
-    cgd = (fun ~vgs:_ ~vds:_ -> 0.);
-  }
+  Fet_model.of_functions ~name
+    ~id:(fun ~vgs:_ ~vds -> vds /. r)
+    ~cgs:(fun ~vgs:_ ~vds:_ -> 0.)
+    ~cgd:(fun ~vgs:_ ~vds:_ -> 0.)
 
 let test_fet_model_parallel_scale () =
   let m = resistor_fet "r" 1e3 in
   let p = Fet_model.parallel "pair" [ m; m; m ] in
   approx ~eps:1e-15 "parallel currents add" (3. *. 0.5 /. 1e3)
-    (p.Fet_model.id ~vgs:0. ~vds:0.5);
+    (Fet_model.id p ~vgs:0. ~vds:0.5);
   let s = Fet_model.scale "scaled" 0.5 m in
-  approx ~eps:1e-15 "scaled" (0.5 *. 0.5 /. 1e3) (s.Fet_model.id ~vgs:0. ~vds:0.5)
+  approx ~eps:1e-15 "scaled" (0.5 *. 0.5 /. 1e3) (Fet_model.id s ~vgs:0. ~vds:0.5)
 
 let test_netlist_validation () =
   let net = Netlist.create () in
@@ -46,12 +44,10 @@ let test_dc_divider () =
 let test_dc_nonlinear () =
   (* Diode-connected exponential device in series with a resistor. *)
   let diode =
-    {
-      Fet_model.name = "diode";
-      id = (fun ~vgs:_ ~vds -> 1e-12 *. (exp (vds /. 0.026) -. 1.));
-      cgs = (fun ~vgs:_ ~vds:_ -> 0.);
-      cgd = (fun ~vgs:_ ~vds:_ -> 0.);
-    }
+    Fet_model.of_functions ~name:"diode"
+      ~id:(fun ~vgs:_ ~vds -> 1e-12 *. (exp (vds /. 0.026) -. 1.))
+      ~cgs:(fun ~vgs:_ ~vds:_ -> 0.)
+      ~cgd:(fun ~vgs:_ ~vds:_ -> 0.)
   in
   let net = Netlist.create () in
   let top = Netlist.fresh_node net in

@@ -52,8 +52,39 @@ let test_pfet_mirror () =
   let n = Compact.fet ~name:"n" m in
   let p = Compact.pfet ~name:"p" m in
   approx_rel ~rel:1e-12 "p mirrors n"
-    (-.n.Fet_model.id ~vgs:0.6 ~vds:0.4)
-    (p.Fet_model.id ~vgs:(-0.6) ~vds:(-0.4))
+    (-.Fet_model.id n ~vgs:0.6 ~vds:0.4)
+    (Fet_model.id p ~vgs:(-0.6) ~vds:(-0.4))
+
+(* The compact model's partials come from Fet_model.of_functions: the
+   1e-6 V forward differences of drain_current, bit for bit, and so
+   within 1e-3 of a central difference on this C1 model. *)
+let test_compact_partials_fd () =
+  let n = Compact.fet ~name:"n" m and p = Compact.pfet ~name:"p" m in
+  let out = Array.make 3 nan in
+  let step = 1e-6 and h = 1e-4 in
+  List.iter
+    (fun (vgs, vds) ->
+      List.iter
+        (fun ((model : Fet_model.t), sign) ->
+          let id ~vgs ~vds =
+            sign *. Compact.drain_current m ~vgs:(sign *. vgs) ~vds:(sign *. vds)
+          in
+          let vgs = sign *. vgs and vds = sign *. vds in
+          model.current ~vgs ~vds out;
+          let i0 = id ~vgs ~vds in
+          Alcotest.(check (float 0.)) "current" i0 out.(0);
+          Alcotest.(check (float 0.)) "gm = forward difference"
+            ((id ~vgs:(vgs +. step) ~vds -. i0) /. step) out.(1);
+          Alcotest.(check (float 0.)) "gds = forward difference"
+            ((id ~vgs ~vds:(vds +. step) -. i0) /. step) out.(2);
+          let central f = (f h -. f (-.h)) /. (2. *. h) in
+          let gm = central (fun d -> id ~vgs:(vgs +. d) ~vds) in
+          let gds = central (fun d -> id ~vgs ~vds:(vds +. d)) in
+          let tol a = (1e-3 *. Float.abs a) +. (1e-9 *. Float.abs i0) in
+          Alcotest.(check (float (tol gm))) "gm vs central" gm out.(1);
+          Alcotest.(check (float (tol gds))) "gds vs central" gds out.(2))
+        [ (n, 1.); (p, -1.) ])
+    [ (0.6, 0.4); (0.2, 0.05); (0.8, 0.9); (0.45, -0.3); (0.1, 0.6) ]
 
 let cmos_pair node =
   {
@@ -106,6 +137,7 @@ let suite =
     Alcotest.test_case "subthreshold slope" `Quick test_subthreshold_slope;
     Alcotest.test_case "saturation" `Quick test_saturation;
     Alcotest.test_case "pfet mirror" `Quick test_pfet_mirror;
+    Alcotest.test_case "compact partials vs fd" `Quick test_compact_partials_fd;
     Alcotest.test_case "cmos inverter vtc" `Quick test_cmos_inverter_vtc;
     Alcotest.test_case "cmos inverter metrics" `Quick test_cmos_inverter_metrics;
     Alcotest.test_case "node ordering" `Quick test_nodes_ordering;

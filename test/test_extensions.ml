@@ -129,12 +129,10 @@ let test_spice_fet_model_env () =
     Spice_deck.parse "VDD d 0 DC 0.5\nM1 d g 0 res\nVG g 0 DC 0.0\n.end\n"
   in
   let resistor_model =
-    {
-      Fet_model.name = "res";
-      id = (fun ~vgs:_ ~vds -> vds /. 1e4);
-      cgs = (fun ~vgs:_ ~vds:_ -> 0.);
-      cgd = (fun ~vgs:_ ~vds:_ -> 0.);
-    }
+    Fet_model.of_functions ~name:"res"
+      ~id:(fun ~vgs:_ ~vds -> vds /. 1e4)
+      ~cgs:(fun ~vgs:_ ~vds:_ -> 0.)
+      ~cgd:(fun ~vgs:_ ~vds:_ -> 0.)
   in
   let built =
     Spice_deck.build deck ~models:(fun n -> if n = "res" then Some resistor_model else None)

@@ -59,6 +59,37 @@ let test_grid2_clamp () =
   let g = Interp.grid2 ~xs ~ys ~values in
   approx "clamped" 1. (Interp.grid2_eval g 5. 0.5)
 
+(* The one-lookup value-and-partials call against the three separate
+   ones, bit for bit, on a non-uniform grid: random in-cell points,
+   exact nodes, and points clamped past every edge and corner. *)
+let test_grid2_eval_grad_bit_equal () =
+  let xs = [| -0.3; -0.1; 0.05; 0.4; 0.45; 1.1 |] and ys = [| 0.; 0.1; 0.35; 0.8 |] in
+  let values =
+    Array.map (fun _ -> Array.map (fun _ -> Rng.uniform rng (-1e-6) 1e-6) ys) xs
+  in
+  let g = Interp.grid2 ~xs ~ys ~values in
+  let inside = List.init 200 (fun _ -> (Rng.uniform rng (-0.3) 1.1, Rng.uniform rng 0. 0.8)) in
+  let nodes =
+    List.concat_map (fun x -> List.map (fun y -> (x, y)) (Array.to_list ys)) (Array.to_list xs)
+  in
+  let clamped =
+    List.concat_map
+      (fun x -> List.map (fun y -> (x, y)) [ -0.5; 0.2; 0.8; 2. ])
+      [ -1.; -0.3; 0.3; 1.1; 3. ]
+  in
+  let out = Array.make 3 nan in
+  List.iter
+    (fun (x, y) ->
+      Interp.grid2_eval_grad g x y out;
+      let same name a b =
+        if not (Float.equal a b) then
+          Alcotest.failf "%s at (%g, %g): %h vs %h" name x y a b
+      in
+      same "value" (Interp.grid2_eval g x y) out.(0);
+      same "dx" (Interp.grid2_dx g x y) out.(1);
+      same "dy" (Interp.grid2_dy g x y) out.(2))
+    (inside @ nodes @ clamped)
+
 let prop_grid2_within_bounds =
   qtest ~count:60 "bilinear stays within corner bounds"
     QCheck.(pair (float_range 0. 2.) (float_range 0. 2.))
@@ -119,6 +150,7 @@ let suite =
     Alcotest.test_case "grid2 bilinear-exact" `Quick test_grid2_exact;
     Alcotest.test_case "grid2 derivatives" `Quick test_grid2_derivatives;
     Alcotest.test_case "grid2 clamp" `Quick test_grid2_clamp;
+    Alcotest.test_case "grid2 eval_grad bit-equal" `Quick test_grid2_eval_grad_bit_equal;
     prop_grid2_within_bounds;
     Alcotest.test_case "contour circle" `Quick test_contour_circle;
     Alcotest.test_case "contour chaining" `Quick test_contour_chaining;

@@ -159,8 +159,8 @@ let prop_interp_table_model_consistency =
       let table = synthetic_table () in
       let m = Gnr_model.intrinsic ~polarity:Gnr_model.N_type ~vt_shift:0. table in
       let eps = 1e-5 in
-      let below = m.Fet_model.id ~vgs ~vds:(-.eps) in
-      let above = m.Fet_model.id ~vgs ~vds:eps in
+      let below = Fet_model.id m ~vgs ~vds:(-.eps) in
+      let above = Fet_model.id m ~vgs ~vds:eps in
       Float.abs (above -. below) <= 1e-9 +. (0.5 *. Float.abs above))
 
 let prop_rng_uniform_mean =

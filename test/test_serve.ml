@@ -120,11 +120,12 @@ let test_single_flight_coalesces () =
     outcomes.(i) <- Some o
   in
   let threads = Array.init 8 (fun i -> Thread.create (worker i) ()) in
-  (* Wait until the leader is inside the computation, then let it go. *)
-  while Single_flight.in_flight sf = 0 do
+  (* Wait until the leader is inside the computation and the other seven
+     wait on it, then let it go. *)
+  while Single_flight.in_flight sf = 0 || Single_flight.followers sf "k" < 7 do
     Thread.yield ()
   done;
-  Thread.delay 0.05;
+  Alcotest.(check int) "no followers on another key" 0 (Single_flight.followers sf "other");
   Mutex.unlock release;
   Array.iter Thread.join threads;
   Alcotest.(check int) "computed once" 1 (Atomic.get calls);
@@ -237,7 +238,7 @@ let test_response_roundtrip () =
 
 (* --- server ---------------------------------------------------------- *)
 
-let make_server ?(lru = 32) ?(queue = 8) ?(workers = 2) () =
+let make_server ?(lru = 32) ?(queue = 8) ?(workers = 2) ?before_generate () =
   let obs = Obs.create ~enabled:true () in
   let ctx = Ctx.make ~obs ~grid:micro_grid () in
   let config =
@@ -249,7 +250,7 @@ let make_server ?(lru = 32) ?(queue = 8) ?(workers = 2) () =
       ctx;
     }
   in
-  (Serve.create ~config (), obs)
+  (Serve.create ~config ?before_generate (), obs)
 
 let table_line ?(id = 1) ?(params = tiny) () =
   Serve_protocol.request_to_line
@@ -266,9 +267,18 @@ let expect_ok line =
 let test_serve_single_flight_acceptance () =
   skip_if_fault_armed [ "table_cache.read"; "scf.charge"; "scf.poisson" ];
   with_temp_cache @@ fun () ->
-  let server, obs = make_server () in
-  Fun.protect ~finally:(fun () -> Serve.stop server) @@ fun () ->
   let n = 8 in
+  (* Hold the leader until the other n - 1 requests wait on it: a request
+     that arrived after the generation finished would be an LRU hit
+     instead of a coalesced one.  The deadline only bounds a broken run. *)
+  let before_generate ~followers =
+    let deadline = Unix.gettimeofday () +. 60. in
+    while followers () < n - 1 && Unix.gettimeofday () < deadline do
+      Thread.delay 0.001
+    done
+  in
+  let server, obs = make_server ~before_generate () in
+  Fun.protect ~finally:(fun () -> Serve.stop server) @@ fun () ->
   let line = table_line () in
   let responses = Array.make n "" in
   let go = Mutex.create () in
@@ -277,8 +287,7 @@ let test_serve_single_flight_acceptance () =
     Array.init n (fun i ->
         Thread.create
           (fun () ->
-            (* Start barrier: all clients fire together, well inside the
-               leader's multi-SCF generation window. *)
+            (* Start barrier: all clients fire together. *)
             Mutex.lock go;
             Mutex.unlock go;
             responses.(i) <- Serve.handle_line server line)
